@@ -6,8 +6,10 @@ indices).  A state fixes one strategy per player; the load of a resource is
 the number of players whose chosen strategy contains it, and a player's cost
 is the sum of her resources' latencies at their loads.
 
-All arithmetic is done with `fractions.Fraction`, so every cost, potential,
-and comparison in this package is exact.  Two modes are supported:
+All arithmetic is exact.  A game evaluates each latency once, into its value
+table (`CongestionGame.latency_table`, ints where integral, else Fractions);
+costs and potentials are sums of table entries, each returned as one
+`fractions.Fraction`.  Two modes are supported:
 
 * ``standard``: polynomial latencies with non-negative coefficients (the
   usual setting; monotonicity and the potential sandwich hold).
@@ -16,18 +18,21 @@ and comparison in this package is exact.  Two modes are supported:
   feasible integer load, and are required to be integers.
 
 Games, states, and subgame views are immutable; every operation here is a
-pure function of its arguments and safe to call concurrently.
+pure function of its arguments.  A game's user sets and value table are
+built on first use and cached on the game.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
 
 RationalLike = Union[Fraction, int, str]
+Value = Union[int, Fraction]
 
 STANDARD = "standard"
 HARDNESS = "hardness"
@@ -45,6 +50,16 @@ def to_fraction(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {value!r}") from exc
     raise ValidationError(f"not a rational: {value!r}")
+
+
+def to_index(value) -> int:
+    """Coerce an integral value (3, 3.0) to int; reject 1.5, "3", None."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"not an integer index: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,7 @@ class CongestionGame:
             for f in resources
         )
         plys = tuple(
-            tuple(tuple(sorted(set(int(e) for e in strat))) for strat in strats)
+            tuple(tuple(sorted(set(to_index(e) for e in strat))) for strat in strats)
             for strats in players
         )
         object.__setattr__(self, "resources", res)
@@ -165,10 +180,12 @@ class CongestionGame:
                         f"hardness mode requires integer latency values; "
                         f"resource {e} has {f.coeffs}"
                     )
-                for x in range(1, max(n, 1) + 1):
-                    if f.eval(x) < 0:
+                # An affine function is smallest at an end of [1, n].
+                for x in (1, max(n, 1)):
+                    value = f.eval(x)
+                    if value < 0:
                         raise ValidationError(
-                            f"resource {e} has negative latency {f.eval(x)} "
+                            f"resource {e} has negative latency {value} "
                             f"at load {x}"
                         )
 
@@ -191,25 +208,34 @@ class CongestionGame:
     def state(self, choices: Sequence[int]) -> "State":
         return State.of(self, choices)
 
-    # Per-resource cumulative latency sums, used by potential computations.
-    # cum[e][k] = sum_{j=1..k} f_e(j); built lazily, games are immutable.
-    def _cum(self, e: int, k: int) -> Fraction:
-        cache = self.__dict__.get("_cum_cache")
-        if cache is None:
-            cache = [[Fraction(0)] for _ in range(len(self.resources))]
-            self.__dict__["_cum_cache"] = cache
-        col = cache[e]
-        while len(col) <= k:
-            col.append(col[-1] + self.resources[e].eval(len(col)))
-        return col[k]
+    @cached_property
+    def users(self) -> tuple[frozenset[int], ...]:
+        """users[e]: the players with at least one strategy that uses e."""
+        users: list[set[int]] = [set() for _ in self.resources]
+        for u, strats in enumerate(self.players):
+            for strat in strats:
+                for e in strat:
+                    users[e].add(u)
+        return tuple(frozenset(s) for s in users)
+
+    @cached_property
+    def latency_table(self) -> tuple[tuple[Value, ...], ...]:
+        """table[e][k] = f_e(k) for 1 <= k <= len(users[e]); table[e][0] = 0.
+
+        No state puts more than len(users[e]) players on e, so every load a
+        cost asks for is in the table.  Integer values are plain ints.
+        """
+        table = []
+        for f, users in zip(self.resources, self.users):
+            col = (f.eval(k) for k in range(1, len(users) + 1))
+            table.append((0, *(v.numerator if v.denominator == 1 else v for v in col)))
+        return tuple(table)
 
     def player_cost(self, state: "State", u: int) -> Fraction:
         """Total latency player u experiences at `state`."""
-        loads = state.loads
-        return sum(
-            (self.resources[e].eval(loads[e]) for e in self.players[u][state.choices[u]]),
-            Fraction(0),
-        )
+        table, loads = self.latency_table, state.loads
+        strat = self.players[u][state.choices[u]]
+        return Fraction(sum(table[e][loads[e]] for e in strat))
 
     def deviation_cost(self, state: "State", u: int, alt: int) -> Fraction:
         """Cost u would pay after unilaterally switching to strategy `alt`.
@@ -220,20 +246,17 @@ class CongestionGame:
         strats = self.players[u]
         if alt < 0 or alt >= len(strats):
             raise ValidationError(f"player {u} has no strategy {alt}")
-        current = set(strats[state.choices[u]])
-        loads = state.loads
-        total = Fraction(0)
+        current = strats[state.choices[u]]
+        table, loads = self.latency_table, state.loads
+        total = 0
         for e in strats[alt]:
-            load = loads[e] if e in current else loads[e] + 1
-            total += self.resources[e].eval(load)
-        return total
+            total += table[e][loads[e] if e in current else loads[e] + 1]
+        return Fraction(total)
 
     def potential(self, state: "State") -> Fraction:
         """Rosenthal potential: sum over resources of cumulative latencies."""
-        return sum(
-            (self._cum(e, k) for e, k in enumerate(state.loads) if k),
-            Fraction(0),
-        )
+        cols = zip(self.latency_table, state.loads)
+        return Fraction(sum(sum(col[1 : k + 1]) for col, k in cols))
 
 
 @dataclass(frozen=True)
@@ -245,7 +268,7 @@ class State:
 
     @classmethod
     def of(cls, game: CongestionGame, choices: Sequence[int]) -> "State":
-        choices = tuple(int(c) for c in choices)
+        choices = tuple(to_index(c) for c in choices)
         if len(choices) != game.n_players:
             raise ValidationError(
                 f"state has {len(choices)} choices for {game.n_players} players"
@@ -295,7 +318,7 @@ class SubgameView:
     def freeze(
         cls, game: CongestionGame, state: State, active: Iterable[int]
     ) -> "SubgameView":
-        active_set = frozenset(int(u) for u in active)
+        active_set = frozenset(to_index(u) for u in active)
         for u in active_set:
             if u < 0 or u >= game.n_players:
                 raise ValidationError(f"active set mentions unknown player {u}")
@@ -314,8 +337,8 @@ class SubgameView:
     def strategies_of(self, u: int) -> tuple[tuple[int, ...], ...]:
         return self.game.players[u]
 
-    def _eval(self, e: int, active_load: int) -> Fraction:
-        return self.game.resources[e].eval(active_load + self.frozen_loads[e])
+    def _eval(self, e: int, active_load: int) -> Value:
+        return self.game.latency_table[e][active_load + self.frozen_loads[e]]
 
     def _active_loads(self, state: State) -> list[int]:
         loads = [0] * self.game.n_resources
@@ -328,10 +351,8 @@ class SubgameView:
         if u not in self.active:
             raise ValidationError(f"player {u} is frozen in this subgame")
         loads = self._active_loads(state)
-        return sum(
-            (self._eval(e, loads[e]) for e in self.game.players[u][state.choices[u]]),
-            Fraction(0),
-        )
+        strat = self.game.players[u][state.choices[u]]
+        return Fraction(sum(self._eval(e, loads[e]) for e in strat))
 
     def deviation_cost(self, state: State, u: int, alt: int) -> Fraction:
         if u not in self.active:
@@ -340,21 +361,17 @@ class SubgameView:
         if alt < 0 or alt >= len(strats):
             raise ValidationError(f"player {u} has no strategy {alt}")
         loads = self._active_loads(state)
-        current = set(strats[state.choices[u]])
-        total = Fraction(0)
+        current = strats[state.choices[u]]
+        total = 0
         for e in strats[alt]:
-            load = loads[e] if e in current else loads[e] + 1
-            total += self._eval(e, load)
-        return total
+            total += self._eval(e, loads[e] if e in current else loads[e] + 1)
+        return Fraction(total)
 
     def potential(self, state: State) -> Fraction:
         """Potential of the subgame: modified latencies, active loads only."""
         loads = self._active_loads(state)
-        total = Fraction(0)
-        for e, k in enumerate(loads):
-            for j in range(1, k + 1):
-                total += self._eval(e, j)
-        return total
+        cols = zip(self.game.latency_table, self.frozen_loads, loads)
+        return Fraction(sum(sum(col[t + 1 : t + k + 1]) for col, t, k in cols))
 
 
 GameLike = Union[CongestionGame, SubgameView]
@@ -394,9 +411,8 @@ def aggregate_metrics(
     uses incurs no latency, regardless of its constant term.  In standard
     mode the three values satisfy latency_sum <= potential <= total_cost.
     """
-    latency_sum = sum(
-        (game.resources[e].eval(k) for e, k in enumerate(state.loads) if k),
-        Fraction(0),
+    latency_sum = Fraction(
+        sum(col[k] for col, k in zip(game.latency_table, state.loads))
     )
     potential = game.potential(state)
     total_cost = sum(

@@ -115,14 +115,10 @@ def optimistic_cost(game: CongestionGame, u: int) -> tuple[Fraction, int]:
     """
     if game.mode != "standard":
         raise ValidationError("optimistic cost is defined for standard mode")
-    best_cost: Optional[Fraction] = None
-    best_idx = 0
-    for idx, strat in enumerate(game.players[u]):
-        cost = sum((game.resources[e].eval(1) for e in strat), Fraction(0))
-        if best_cost is None or cost < best_cost:
-            best_cost, best_idx = cost, idx
-    assert best_cost is not None
-    return best_cost, best_idx
+    table = game.latency_table
+    costs = [sum(table[e][1] for e in strat) for strat in game.players[u]]
+    best_cost = min(costs)
+    return Fraction(best_cost), costs.index(best_cost)
 
 
 def best_response(game: GameLike, state: State, u: int) -> tuple[int, Fraction]:
@@ -159,6 +155,30 @@ def find_threshold_move(
     if cost * q < current:
         return idx, cost
     return None
+
+
+def apply_move(
+    game: CongestionGame,
+    state: State,
+    potential: Fraction,
+    u: int,
+    idx: int,
+    new_cost: Fraction,
+    moves: list[MoveRecord],
+    phase: Optional[int] = None,
+) -> tuple[State, Fraction]:
+    """Move u to strategy idx, log the move, return the new state and potential.
+
+    The potential is updated by the mover's cost change (Rosenthal's
+    identity), not recomputed.
+    """
+    old_cost = game.player_cost(state, u)
+    new_potential = potential + (new_cost - old_cost)
+    record = MoveRecord(
+        u, state.choices[u], idx, old_cost, new_cost, potential, new_potential, phase
+    )
+    moves.append(record)
+    return state.apply(game, u, idx), new_potential
 
 
 def epsilon_br_dynamics(
@@ -200,22 +220,9 @@ def epsilon_br_dynamics(
             if found is None:
                 continue
             idx, new_cost = found
-            old_cost = game.player_cost(state, u)
-            old_choice = state.choices[u]
-            state = state.apply(game, u, idx)
-            new_potential = potential + (new_cost - old_cost)
-            moves.append(
-                MoveRecord(
-                    player=u,
-                    from_strategy=old_choice,
-                    to_strategy=idx,
-                    cost_before=old_cost,
-                    cost_after=new_cost,
-                    potential_before=potential,
-                    potential_after=new_potential,
-                )
+            state, potential = apply_move(
+                game, state, potential, u, idx, new_cost, moves
             )
-            potential = new_potential
             moved = True
             if len(moves) >= move_cap:
                 truncated = True

@@ -963,14 +963,7 @@ def structural_check(game: CongestionGame) -> StructuralReport:
     it (pass iff the maximum is at most two), and checks f(1) >= 0 and
     f(2) >= 0 for every resource.  An empty game passes vacuously.
     """
-    counts = [0] * game.n_resources
-    users: list[set[int]] = [set() for _ in range(game.n_resources)]
-    for u, strats in enumerate(game.players):
-        mentioned: set[int] = set()
-        for strat in strats:
-            mentioned.update(strat)
-        for e in mentioned:
-            users[e].add(u)
+    users = game.users
     counts = [len(s) for s in users]
     offenders = [
         {"resource": e, "players": sorted(users[e])}

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 from typing import Any, IO, Optional, Union
 
-from .core import CongestionGame, LatencyFunction, to_fraction
+from .core import CongestionGame, LatencyFunction, to_fraction, to_index
 from .errors import ValidationError
 
 
@@ -59,9 +59,9 @@ def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
             for r in doc["resources"]
         ]
         players = [p["strategies"] for p in doc["players"]]
+        game = CongestionGame(resources, players, mode=mode)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance document: {exc}") from exc
-    game = CongestionGame(resources, players, mode=mode)
     return game, doc.get("labels")
 
 
@@ -102,6 +102,6 @@ def read_state(path: str) -> list[int]:
             doc = json.load(fp)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "state" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("state"), list):
         raise ValidationError(f"{path} is not a state file")
-    return [int(c) for c in doc["state"]]
+    return [to_index(c) for c in doc["state"]]

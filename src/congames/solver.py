@@ -27,7 +27,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import CongestionGame, State, to_fraction
-from .dynamics import MoveRecord, RunTrace, find_threshold_move, optimistic_cost
+from .dynamics import (
+    MoveRecord,
+    RunTrace,
+    apply_move,
+    find_threshold_move,
+    optimistic_cost,
+)
 from .errors import ContractViolationError, ParameterError, ValidationError
 from .serialize import format_rational
 
@@ -306,23 +312,9 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
                     f"move cap {cap} exceeded in phase {i}; the schedule "
                     "should terminate well below it"
                 )
-            old_cost = game.player_cost(state, u)
-            old_choice = state.choices[u]
-            state = state.apply(game, u, idx)
-            new_potential = potential + (new_cost - old_cost)
-            moves.append(
-                MoveRecord(
-                    player=u,
-                    from_strategy=old_choice,
-                    to_strategy=idx,
-                    cost_before=old_cost,
-                    cost_after=new_cost,
-                    potential_before=potential,
-                    potential_after=new_potential,
-                    phase=i,
-                )
+            state, potential = apply_move(
+                game, state, potential, u, idx, new_cost, moves, phase=i
             )
-            potential = new_potential
             phase_moves += 1
         phases.append({"i": i, "block_size": len(block_i), "moves": phase_moves})
 

@@ -25,6 +25,7 @@ from .core import (
     CongestionGame,
     State,
     SubgameView,
+    Value,
     aggregate_metrics,
     to_fraction,
 )
@@ -41,7 +42,12 @@ def enumeration_budget(budget: Optional[int] = None) -> int:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValidationError(
+                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     return DEFAULT_ENUM_BUDGET
 
 
@@ -137,12 +143,13 @@ def brute_min_potential(
     """Exhaustive global potential minimum; lexicographically smallest argmin."""
     _require_budget(game, budget)
     n = game.n_players
+    table = game.latency_table
     loads = [0] * game.n_resources
     choices = [0] * n
-    best: Optional[Fraction] = None
+    best: Optional[Value] = None
     best_choices: Optional[tuple[int, ...]] = None
 
-    def descend(u: int, phi: Fraction) -> None:
+    def descend(u: int, phi: Value) -> None:
         nonlocal best, best_choices
         if u == n:
             if best is None or phi < best:
@@ -151,35 +158,27 @@ def brute_min_potential(
             return
         for idx, strat in enumerate(game.players[u]):
             choices[u] = idx
-            delta = Fraction(0)
+            delta = 0
             for e in strat:
                 loads[e] += 1
-                delta += game.resources[e].eval(loads[e])
+                delta += table[e][loads[e]]
             descend(u + 1, phi + delta)
             for e in strat:
                 loads[e] -= 1
 
-    descend(0, Fraction(0))
+    descend(0, 0)
     assert best is not None and best_choices is not None
-    return State.of(game, best_choices), best
+    return State.of(game, best_choices), Fraction(best)
 
 
 def _neighbor_sets(game: CongestionGame) -> list[set[int]]:
     """Players sharing at least one resource across any of their strategies."""
-    touching: list[set[int]] = [set() for _ in range(game.n_resources)]
-    footprint: list[set[int]] = []
+    users = game.users
+    neighbors: list[set[int]] = []
     for u, strats in enumerate(game.players):
-        union: set[int] = set()
-        for strat in strats:
-            union.update(strat)
-        footprint.append(union)
-        for e in union:
-            touching[e].add(u)
-    neighbors: list[set[int]] = [set() for _ in range(game.n_players)]
-    for u in range(game.n_players):
-        for e in footprint[u]:
-            neighbors[u].update(touching[e])
-        neighbors[u].discard(u)
+        near = set().union(*(users[e] for strat in strats for e in strat))
+        near.discard(u)
+        neighbors.append(near)
     return neighbors
 
 
@@ -230,21 +229,7 @@ def enumerate_equilibria(
     choices = [0] * n
     results: list[tuple[int, ...]] = []
 
-    # Value tables per resource up to its owner count; plain ints when exact.
-    owners = [0] * game.n_resources
-    for nb_u in range(n):
-        seen: set[int] = set()
-        for strat in game.players[nb_u]:
-            seen.update(strat)
-        for e in seen:
-            owners[e] += 1
-    vals: list[list] = []
-    for e, f in enumerate(game.resources):
-        col = [0]
-        for k in range(1, owners[e] + 1):
-            v = f.eval(k)
-            col.append(int(v) if v.denominator == 1 else v)
-        vals.append(col)
+    table = game.latency_table
     strat_sets = [
         [frozenset(strat) for strat in strats] for strats in game.players
     ]
@@ -256,7 +241,7 @@ def enumerate_equilibria(
         strat = game.players[u][choices[u]]
         current = 0
         for e in strat:
-            current += vals[e][loads[e]]
+            current += table[e][loads[e]]
         if current == 0 or rho is None:
             return False
         in_current = strat_sets[u][choices[u]]
@@ -264,7 +249,7 @@ def enumerate_equilibria(
         for alt in game.players[u]:
             dev = 0
             for e in alt:
-                dev += vals[e][loads[e] if e in in_current else loads[e] + 1]
+                dev += table[e][loads[e] if e in in_current else loads[e] + 1]
             if dev * rho_num < threshold:
                 return True
         return False

@@ -148,6 +148,49 @@ class TestVerifyBrute:
         assert run(["brute", str(instance), "--budget", "2"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_bad_budget_env_exit_2(self, instance, monkeypatch, capsys):
+        monkeypatch.setenv("CONGAMES_ENUM_BUDGET", "abc")
+        assert run(["brute", str(instance)]) == 2
+        assert "CONGAMES_ENUM_BUDGET" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Malformed files exit 2 with a message, never with a traceback."""
+
+    @pytest.fixture
+    def game_file(self, tmp_path):
+        path = tmp_path / "i.json"
+        write_instance(CongestionGame([[4], [1]], [[[0], [1]], [[0]]]), str(path))
+        return path
+
+    def write_instance_doc(self, tmp_path, strategies):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "mode": "standard",
+            "resources": [{"coeffs": ["0", "1"]}, {"coeffs": ["2"]}],
+            "players": [{"strategies": strategies}, {"strategies": [[0]]}],
+        }))
+        return path
+
+    @pytest.mark.parametrize("strategies", [[["a"]], [[1.5]], [[0], [1.5]], 3])
+    def test_bad_strategy_exit_2(self, tmp_path, capsys, strategies):
+        path = self.write_instance_doc(tmp_path, strategies)
+        assert run(["solve", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state", [[0, "x"], 3, [0, 1.5], [1.0, 0.5]])
+    def test_bad_state_exit_2(self, tmp_path, game_file, capsys, state):
+        st = tmp_path / "s.json"
+        st.write_text(json.dumps({"state": state}))
+        assert run(["verify", str(game_file), str(st)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_integral_float_state_accepted(self, tmp_path, game_file, capsys):
+        st = tmp_path / "s.json"
+        st.write_text(json.dumps({"state": [1.0, 0]}))
+        assert run(["verify", str(game_file), str(st)]) == 0
+        assert "rho_star=1" in capsys.readouterr().out
+
 
 class TestAudit:
     def test_instance_audit_clean(self, instance, capsys):

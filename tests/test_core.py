@@ -301,6 +301,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             CongestionGame([[-3, 1]], [[[0]], [[0]]], mode="hardness")
 
+    def test_hardness_rejects_negative_value_at_n_only(self):
+        # f(x) = 5 - x is non-negative at load 1 and negative only at load 6
+        with pytest.raises(ValidationError, match="at load 6"):
+            CongestionGame([[5, -1]], [[[0]]] * 6, mode="hardness")
+        CongestionGame([[5, -1]], [[[0]]] * 5, mode="hardness")
+
+    def test_non_integral_resource_index(self):
+        with pytest.raises(ValidationError):
+            CongestionGame([[1], [1]], [[[1.5]]])
+        with pytest.raises(ValidationError):
+            CongestionGame([[1]], [[["a"]]])
+
     def test_hardness_rejects_degree_two(self):
         with pytest.raises(ValidationError):
             CongestionGame([[0, 0, 1]], [[[0]]], mode="hardness")

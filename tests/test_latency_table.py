@@ -1,0 +1,116 @@
+"""The per-game value table against direct latency evaluation.
+
+Every cost and potential is a sum of table entries; these properties
+recompute each one from `LatencyFunction.eval` over `load_profile`.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congames import CongestionGame, SubgameView, load_profile
+
+# Denominators up to 3 give both integral and fractional latency values.
+coefficient = st.fractions(min_value=0, max_value=4, max_denominator=3)
+
+
+@st.composite
+def games(draw):
+    n_res = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 2))
+    resources = [
+        draw(st.lists(coefficient, min_size=degree + 1, max_size=degree + 1))
+        for _ in range(n_res)
+    ]
+    strategy = st.lists(
+        st.integers(0, n_res - 1), min_size=1, max_size=n_res, unique=True
+    )
+    players = draw(
+        st.lists(st.lists(strategy, min_size=1, max_size=3), min_size=1, max_size=5)
+    )
+    game = CongestionGame(resources, players)
+    choices = [draw(st.integers(0, len(s) - 1)) for s in game.players]
+    active = draw(st.sets(st.integers(0, game.n_players - 1)))
+    return game, game.state(choices), active
+
+
+def direct_cost(game, loads, strat):
+    return sum((game.resources[e].eval(loads[e]) for e in strat), Fraction(0))
+
+
+def direct_potential(game, loads, offsets=None):
+    offsets = offsets or [0] * game.n_resources
+    return sum(
+        (
+            game.resources[e].eval(offsets[e] + j)
+            for e, k in enumerate(loads)
+            for j in range(1, k + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def exact(value, expected):
+    return type(value) is Fraction and value == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(games())
+def test_game_costs_match_direct_evaluation(case):
+    game, state, _active = case
+    loads = load_profile(game, state)
+    assert exact(game.potential(state), direct_potential(game, loads))
+    for u, strats in enumerate(game.players):
+        mine = strats[state.choices[u]]
+        assert exact(game.player_cost(state, u), direct_cost(game, loads, mine))
+        for alt, strat in enumerate(strats):
+            moved = game.state(
+                [alt if v == u else c for v, c in enumerate(state.choices)]
+            )
+            assert exact(
+                game.deviation_cost(state, u, alt),
+                direct_cost(game, load_profile(game, moved), strat),
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(games())
+def test_subgame_costs_match_direct_evaluation(case):
+    game, state, active = case
+    view = SubgameView.freeze(game, state, active)
+    loads = load_profile(game, state)
+    active_loads = [0] * game.n_resources
+    for u in active:
+        for e in game.players[u][state.choices[u]]:
+            active_loads[e] += 1
+    frozen = [k - a for k, a in zip(loads, active_loads)]
+    assert list(view.frozen_loads) == frozen
+    assert exact(view.potential(state), direct_potential(game, active_loads, frozen))
+    for u in active:
+        strats = game.players[u]
+        mine = strats[state.choices[u]]
+        assert exact(view.player_cost(state, u), direct_cost(game, loads, mine))
+        for alt, strat in enumerate(strats):
+            moved = game.state(
+                [alt if v == u else c for v, c in enumerate(state.choices)]
+            )
+            assert exact(
+                view.deviation_cost(state, u, alt),
+                direct_cost(game, load_profile(game, moved), strat),
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(games())
+def test_table_entries(case):
+    game, _state, _active = case
+    for e, (f, col) in enumerate(zip(game.resources, game.latency_table)):
+        users = {u for u, ss in enumerate(game.players) if any(e in s for s in ss)}
+        assert game.users[e] == users
+        assert len(col) == len(users) + 1
+        assert col[0] == 0
+        for k in range(1, len(col)):
+            value = f.eval(k)
+            assert col[k] == value
+            assert type(col[k]) is (int if value.denominator == 1 else Fraction)
