@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +20,7 @@ from typing import Optional
 
 from . import generators, hardness, serialize, solver, verify
 from .core import CongestionGame, State, to_fraction
+from .dynamics import RunTrace
 from .errors import (
     BudgetExceededError,
     ContractViolationError,
@@ -64,6 +66,28 @@ def _load_standard_instance(path: str) -> CongestionGame:
     return game
 
 
+def _solve_and_verify(
+    game: CongestionGame, config: solver.SolverConfig
+) -> tuple[RunTrace, verify.ApproxReport, str, bool, float]:
+    """Solve, then check the final state exactly against the trace's bound.
+
+    Returns (trace, report, bound, ok, solve seconds).  The bound is "1" for
+    a degenerate solve, which must end in an exact equilibrium; `ok` also
+    requires the move count to stay within the cap.
+    """
+    start = time.perf_counter()
+    trace = solver.solve(game, config)
+    elapsed = time.perf_counter() - start
+    report = verify.approximation_factor(game, State.of(game, trace.final_state))
+    params = trace.parameters or {}
+    bound_str = params.get("bound", "1")
+    cap = params.get("move_cap")
+    ok = report.is_approx(to_fraction(bound_str)) and (
+        cap is None or trace.n_moves <= cap
+    )
+    return trace, report, bound_str, ok, elapsed
+
+
 def cmd_solve(args) -> int:
     game = _load_standard_instance(args.instance)
     config = solver.SolverConfig(
@@ -73,17 +97,9 @@ def cmd_solve(args) -> int:
         scheduler=args.scheduler,
         seed=args.seed,
     )
-    trace = solver.solve(game, config)
+    trace, report, bound_str, ok, _elapsed = _solve_and_verify(game, config)
     if args.trace:
         trace.write_json(args.trace)
-    final = State.of(game, trace.final_state)
-    report = verify.approximation_factor(game, final)
-    bound_str = (trace.parameters or {}).get("bound")
-    if bound_str is None:
-        ok = report.is_approx(Fraction(1))
-        bound_str = "1"
-    else:
-        ok = report.is_approx(to_fraction(bound_str))
     print(
         f"moves={trace.n_moves} rho_star={report.rho_star_str()} "
         f"bound={bound_str} ok={str(ok).lower()}"
@@ -189,17 +205,7 @@ def _bench_one(task: tuple) -> dict:
         psi=psi,
         theta_override=None if theta is None else to_fraction(theta),
     )
-    start = time.perf_counter()
-    trace = solver.solve(game, config)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    final = State.of(game, trace.final_state)
-    report = verify.approximation_factor(game, final)
-    params = trace.parameters or {}
-    bound_str = params.get("bound", "1")
-    cap = params.get("move_cap")
-    ok = report.is_approx(to_fraction(bound_str)) and (
-        cap is None or trace.n_moves <= cap
-    )
+    trace, report, bound_str, ok, elapsed = _solve_and_verify(game, config)
     return {
         "n": n,
         "d": d,
@@ -207,7 +213,7 @@ def _bench_one(task: tuple) -> dict:
         "seed": seed,
         "moves": trace.n_moves,
         "phases": len(trace.phases or []),
-        "ms": elapsed_ms,
+        "ms": int(elapsed * 1000),
         "rho_star": report.rho_star_str(),
         "bound": bound_str,
         "ok": str(ok).lower(),
@@ -246,8 +252,10 @@ def cmd_bench(args) -> int:
         for n in ns
         for seed in range(args.seed0, args.seed0 + args.seeds)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # More workers than CPUs only adds processes competing for them.
+    workers = min(args.workers, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]

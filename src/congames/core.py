@@ -6,10 +6,15 @@ indices).  A state fixes one strategy per player; the load of a resource is
 the number of players whose chosen strategy contains it, and a player's cost
 is the sum of her resources' latencies at their loads.
 
-All arithmetic is exact.  A game evaluates each latency once, into its value
+All arithmetic is exact.  A latency function keeps its coefficients as
+integer numerators over one common denominator (the lcm of the coefficient
+denominators) and evaluates by Horner's rule in integers, building a single
+`Fraction` per value.  A game evaluates each latency once, into its value
 table (`CongestionGame.latency_table`, ints where integral, else Fractions);
 costs and potentials are sums of table entries, each returned as one
-`fractions.Fraction`.  Two modes are supported:
+`fractions.Fraction`.  `cost_sums` hands out the unwrapped sums (ints when the
+table is integral) so that best responses compare integers.  Two modes are
+supported:
 
 * ``standard``: polynomial latencies with non-negative coefficients (the
   usual setting; monotonicity and the potential sandwich hold).
@@ -24,6 +29,7 @@ built on first use and cached on the game.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,7 +70,12 @@ def to_index(value) -> int:
 
 @dataclass(frozen=True)
 class LatencyFunction:
-    """Polynomial latency f(x) = sum_k coeffs[k] * x**k with rational coeffs."""
+    """Polynomial latency f(x) = sum_k coeffs[k] * x**k with rational coeffs.
+
+    `eval` works on integer numerators over the common denominator of the
+    coefficients, derived from `coeffs` on first use and cached on the
+    instance; they take no part in equality or hashing.
+    """
 
     coeffs: tuple[Fraction, ...]
 
@@ -90,17 +101,22 @@ class LatencyFunction:
     def has_nonnegative_coeffs(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
+    @cached_property
+    def _horner(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators, highest degree first, over their common denominator."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = (c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
+        return tuple(nums), den
+
     def eval(self, load: int) -> Fraction:
         """Exact value at an integer load >= 1."""
         if not isinstance(load, int) or load < 1:
             raise ValidationError(f"latency evaluated at invalid load {load!r}")
-        total = Fraction(0)
-        power = 1
-        for c in self.coeffs:
-            if c:
-                total += c * power
-            power *= load
-        return total
+        nums, den = self._horner
+        total = 0
+        for a in nums:
+            total = total * load + a
+        return Fraction(total, den)
 
     def __call__(self, load: int) -> Fraction:
         return self.eval(load)
@@ -202,9 +218,6 @@ class CongestionGame:
         """Maximum effective degree over all resources (0 for an empty game)."""
         return max((f.degree for f in self.resources), default=0)
 
-    def strategies_of(self, u: int) -> tuple[tuple[int, ...], ...]:
-        return self.players[u]
-
     def state(self, choices: Sequence[int]) -> "State":
         return State.of(self, choices)
 
@@ -233,9 +246,8 @@ class CongestionGame:
 
     def player_cost(self, state: "State", u: int) -> Fraction:
         """Total latency player u experiences at `state`."""
-        table, loads = self.latency_table, state.loads
         strat = self.players[u][state.choices[u]]
-        return Fraction(sum(table[e][loads[e]] for e in strat))
+        return Fraction(_move_sum(self.latency_table, state.loads, strat, strat))
 
     def deviation_cost(self, state: "State", u: int, alt: int) -> Fraction:
         """Cost u would pay after unilaterally switching to strategy `alt`.
@@ -247,11 +259,18 @@ class CongestionGame:
         if alt < 0 or alt >= len(strats):
             raise ValidationError(f"player {u} has no strategy {alt}")
         current = strats[state.choices[u]]
-        table, loads = self.latency_table, state.loads
-        total = 0
-        for e in strats[alt]:
-            total += table[e][loads[e] if e in current else loads[e] + 1]
-        return Fraction(total)
+        return Fraction(
+            _move_sum(self.latency_table, state.loads, current, strats[alt])
+        )
+
+    def cost_sums(self, state: "State", u: int) -> list[Value]:
+        """Unwrapped deviation cost of each of u's strategies, in index order.
+
+        Entry state.choices[u] is u's current cost.  The entries are sums of
+        table values: ints when the latencies are integral at these loads.
+        """
+        strats, choice = self.players[u], state.choices[u]
+        return _move_sums(self.latency_table, state.loads, strats, choice)
 
     def potential(self, state: "State") -> Fraction:
         """Rosenthal potential: sum over resources of cumulative latencies."""
@@ -334,44 +353,67 @@ class SubgameView:
     def n_players(self) -> int:
         return self.game.n_players
 
-    def strategies_of(self, u: int) -> tuple[tuple[int, ...], ...]:
-        return self.game.players[u]
-
-    def _eval(self, e: int, active_load: int) -> Value:
-        return self.game.latency_table[e][active_load + self.frozen_loads[e]]
-
-    def _active_loads(self, state: State) -> list[int]:
-        loads = [0] * self.game.n_resources
+    def _loads(self, state: State) -> list[int]:
+        """Loads the view sees: frozen offsets plus the active players at `state`."""
+        loads = list(self.frozen_loads)
         for u in self.active:
             for e in self.game.players[u][state.choices[u]]:
                 loads[e] += 1
         return loads
 
-    def player_cost(self, state: State, u: int) -> Fraction:
+    def _require_active(self, u: int) -> None:
         if u not in self.active:
             raise ValidationError(f"player {u} is frozen in this subgame")
-        loads = self._active_loads(state)
+
+    def player_cost(self, state: State, u: int) -> Fraction:
+        self._require_active(u)
         strat = self.game.players[u][state.choices[u]]
-        return Fraction(sum(self._eval(e, loads[e]) for e in strat))
+        table = self.game.latency_table
+        return Fraction(_move_sum(table, self._loads(state), strat, strat))
 
     def deviation_cost(self, state: State, u: int, alt: int) -> Fraction:
-        if u not in self.active:
-            raise ValidationError(f"player {u} is frozen in this subgame")
+        self._require_active(u)
         strats = self.game.players[u]
         if alt < 0 or alt >= len(strats):
             raise ValidationError(f"player {u} has no strategy {alt}")
-        loads = self._active_loads(state)
         current = strats[state.choices[u]]
-        total = 0
-        for e in strats[alt]:
-            total += self._eval(e, loads[e] if e in current else loads[e] + 1)
-        return Fraction(total)
+        table = self.game.latency_table
+        return Fraction(_move_sum(table, self._loads(state), current, strats[alt]))
+
+    def cost_sums(self, state: State, u: int) -> list[Value]:
+        """As `CongestionGame.cost_sums`, with the loads computed once."""
+        self._require_active(u)
+        strats, choice = self.game.players[u], state.choices[u]
+        table = self.game.latency_table
+        return _move_sums(table, self._loads(state), strats, choice)
 
     def potential(self, state: State) -> Fraction:
         """Potential of the subgame: modified latencies, active loads only."""
-        loads = self._active_loads(state)
-        cols = zip(self.game.latency_table, self.frozen_loads, loads)
-        return Fraction(sum(sum(col[t + 1 : t + k + 1]) for col, t, k in cols))
+        cols = zip(self.game.latency_table, self.frozen_loads, self._loads(state))
+        return Fraction(sum(sum(col[t + 1 : k + 1]) for col, t, k in cols))
+
+
+def _move_sum(
+    table: Sequence[Sequence[Value]],
+    loads: Sequence[int],
+    current: tuple[int, ...],
+    strat: tuple[int, ...],
+) -> Value:
+    """Table sum a player pays on `strat` after leaving `current` (may be equal)."""
+    total = 0
+    for e in strat:
+        total += table[e][loads[e] if e in current else loads[e] + 1]
+    return total
+
+
+def _move_sums(
+    table: Sequence[Sequence[Value]],
+    loads: Sequence[int],
+    strats: tuple[tuple[int, ...], ...],
+    choice: int,
+) -> list[Value]:
+    current = strats[choice]
+    return [_move_sum(table, loads, current, strat) for strat in strats]
 
 
 GameLike = Union[CongestionGame, SubgameView]

@@ -7,6 +7,12 @@ which makes recorded traces deterministic.
 
 Every executed move logs exact before/after costs and potentials; the
 potential difference equals the cost difference move by move.
+
+Best responses compare the unwrapped table sums of `cost_sums` (ints for
+integral games) and the threshold test is one cross-multiplication.  Both
+`epsilon_br_dynamics` and the phased solver keep an `EligibilityCache`:
+a player's threshold answer is recomputed only after a move changed the load
+on one of her resources.
 """
 
 from __future__ import annotations
@@ -125,16 +131,12 @@ def best_response(game: GameLike, state: State, u: int) -> tuple[int, Fraction]:
     """Globally cheapest deviation for u, ties broken by lowest index.
 
     The current strategy participates in the minimum, so the returned cost is
-    never above the current cost.
+    never above the current cost.  The minimum is taken over the unwrapped
+    table sums (`cost_sums`); only the winner becomes a Fraction.
     """
-    best_idx: Optional[int] = None
-    best_cost: Optional[Fraction] = None
-    for idx in range(len(game.strategies_of(u))):
-        cost = game.deviation_cost(state, u, idx)
-        if best_cost is None or cost < best_cost:
-            best_idx, best_cost = idx, cost
-    assert best_idx is not None and best_cost is not None
-    return best_idx, best_cost
+    costs = game.cost_sums(state, u)
+    best = min(costs)
+    return costs.index(best), Fraction(best)
 
 
 def find_threshold_move(
@@ -152,7 +154,12 @@ def find_threshold_move(
     if current == 0:
         return None
     idx, cost = best_response(game, state, u)
-    if cost * q < current:
+    # cost < current / q, cross-multiplied in integers; cost and current have
+    # denominator 1 when the game's latencies are integral.
+    if (
+        cost.numerator * q.numerator * current.denominator
+        < current.numerator * q.denominator * cost.denominator
+    ):
         return idx, cost
     return None
 
@@ -181,6 +188,53 @@ def apply_move(
     return state.apply(game, u, idx), new_potential
 
 
+class EligibilityCache:
+    """Each checked player's `find_threshold_move` result at the current state.
+
+    Whether v has a threshold move depends only on v's own choice and the
+    loads on the resources of v's strategies.  A move of u from `old` to
+    `new` changes loads only on old | new, so only the players in
+    `game.users[e]` for those e (u among them) can get a different answer;
+    `move` forgets exactly those entries, including cached Nones.  Results
+    are keyed by player alone: a caller that changes a player's threshold
+    factor must `clear` first.
+    """
+
+    def __init__(self, game: CongestionGame):
+        self.game = game
+        self.results: dict[int, Optional[tuple[int, Fraction]]] = {}
+
+    def check(
+        self, state: State, u: int, q: Fraction
+    ) -> Optional[tuple[int, Fraction]]:
+        """find_threshold_move(game, state, u, q), reusing a cached result."""
+        results = self.results
+        if u not in results:
+            results[u] = find_threshold_move(self.game, state, u, q)
+        return results[u]
+
+    def clear(self) -> None:
+        self.results.clear()
+
+    def move(
+        self,
+        state: State,
+        potential: Fraction,
+        u: int,
+        found: tuple[int, Fraction],
+        moves: list[MoveRecord],
+        phase: Optional[int] = None,
+    ) -> tuple[State, Fraction]:
+        """`apply_move` for u's threshold move `found`; forget whom it touched."""
+        game, results = self.game, self.results
+        idx, new_cost = found
+        strats = game.players[u]
+        for e in {*strats[state.choices[u]], *strats[idx]}:
+            for v in game.users[e]:
+                results.pop(v, None)
+        return apply_move(game, state, potential, u, idx, new_cost, moves, phase)
+
+
 def epsilon_br_dynamics(
     game: CongestionGame,
     state0: State,
@@ -195,6 +249,8 @@ def epsilon_br_dynamics(
     sweep); a player moves when she has a (1+eps)-move, and then executes her
     full best response.  Stops when a whole sweep finds no move, or the cap
     is hit (the trace is then flagged truncated, which is not an error).
+    An `EligibilityCache` skips the players no move has touched since their
+    last check.
     """
     epsilon = to_fraction(epsilon)
     if epsilon <= 0:
@@ -209,6 +265,7 @@ def epsilon_br_dynamics(
     state = state0
     potential = game.potential(state)
     moves: list[MoveRecord] = []
+    cache = EligibilityCache(game)
     truncated = False
     while True:
         players = list(range(game.n_players))
@@ -216,13 +273,10 @@ def epsilon_br_dynamics(
             rng.shuffle(players)
         moved = False
         for u in players:
-            found = find_threshold_move(game, state, u, q)
+            found = cache.check(state, u, q)
             if found is None:
                 continue
-            idx, new_cost = found
-            state, potential = apply_move(
-                game, state, potential, u, idx, new_cost, moves
-            )
+            state, potential = cache.move(state, potential, u, found, moves)
             moved = True
             if len(moves) >= move_cap:
                 truncated = True

@@ -27,13 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import CongestionGame, State, to_fraction
-from .dynamics import (
-    MoveRecord,
-    RunTrace,
-    apply_move,
-    find_threshold_move,
-    optimistic_cost,
-)
+from .dynamics import EligibilityCache, MoveRecord, RunTrace, optimistic_cost
 from .errors import ContractViolationError, ParameterError, ValidationError
 from .serialize import format_rational
 
@@ -209,6 +203,11 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     on single-block partitions (all optimistic costs equal) it is what
     equilibrates the only block.
 
+    Threshold checks go through an `EligibilityCache`, cleared when a phase
+    starts: after a move only the players sharing a resource with the
+    mover's old or new strategy are checked again, and the schedulers see
+    exactly the eligible sets a full rescan would find.
+
     The returned trace records exact costs and potentials per move, phase
     summaries, parameters, and the guarantee bound p(1 + 4 n^-psi).
     """
@@ -276,10 +275,11 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
 
     moves: list[MoveRecord] = []
     phases: list[dict] = []
+    cache = EligibilityCache(game)
 
     def eligible_moves(members: Sequence[int], factor: Fraction):
         for u in members:
-            found = find_threshold_move(game, state, u, factor)
+            found = cache.check(state, u, factor)
             if found is not None:
                 yield u, found
 
@@ -288,6 +288,8 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
         if not block_i:
             continue
         block_next = partition.blocks[i] if i < partition.m else []
+        # Block i was checked against q last phase and is against p now.
+        cache.clear()
         phase_moves = 0
         while True:
             chosen = None
@@ -306,14 +308,14 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
                     chosen = candidates[rng.randrange(len(candidates))]
             if chosen is None:
                 break
-            u, (idx, new_cost) = chosen
+            u, found = chosen
             if len(moves) + 1 > cap:
                 raise ContractViolationError(
                     f"move cap {cap} exceeded in phase {i}; the schedule "
                     "should terminate well below it"
                 )
-            state, potential = apply_move(
-                game, state, potential, u, idx, new_cost, moves, phase=i
+            state, potential = cache.move(
+                state, potential, u, found, moves, phase=i
             )
             phase_moves += 1
         phases.append({"i": i, "block_size": len(block_i), "moves": phase_moves})

@@ -102,6 +102,12 @@ class TestSolve:
         write_instance(CongestionGame([[0, 1]], [[[0]], [[0]]]), str(path))
         assert run(["solve", str(path)]) == 2
 
+    def test_single_player_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        write_instance(CongestionGame([[0, 1], [2]], [[[0], [1]]]), str(path))
+        assert run(["solve", str(path)]) == 2
+        assert "need at least 2 players" in capsys.readouterr().err
+
     def test_cap_breach_exits_4(self, tmp_path):
         path = tmp_path / "cap.json"
         assert run(["gen", "--seed", "3", "--n", "12", "--resources", "4",
@@ -262,6 +268,33 @@ class TestBench:
             return [r[:6] + r[7:] for r in rows]  # wall time may differ
 
         assert strip_ms(seq) == strip_ms(par)
+
+    @pytest.mark.parametrize("cpus, expected", [(3, [3]), (None, [])])
+    def test_workers_clamped_to_cpu_count(self, tmp_path, monkeypatch, cpus, expected):
+        created = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs in-process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--n-list", "4", "--seeds", "2", "--resources", "6",
+                    "--workers", "64", "--out", str(out)]) == 0
+        assert created == expected
+        assert len(out.read_text().splitlines()) == 1 + 2
 
     def test_missing_instance_file(self, tmp_path):
         assert run(["solve", str(tmp_path / "nope.json")]) == 2

@@ -1,7 +1,8 @@
 """The per-game value table against direct latency evaluation.
 
 Every cost and potential is a sum of table entries; these properties
-recompute each one from `LatencyFunction.eval` over `load_profile`.
+recompute each one from `LatencyFunction.eval` over `load_profile`, and
+`eval` itself is checked against a power sum of `Fraction`s.
 """
 
 from fractions import Fraction
@@ -9,7 +10,39 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congames import CongestionGame, SubgameView, load_profile
+from congames import (
+    CongestionGame,
+    LatencyFunction,
+    SubgameView,
+    best_response,
+    load_profile,
+)
+
+thousand_bits = st.integers(-(2**1000), 2**1000)
+any_coefficient = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12), thousand_bits
+)
+
+
+def power_sum(coeffs, load):
+    return sum((Fraction(c) * load**k for k, c in enumerate(coeffs)), Fraction(0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(any_coefficient, max_size=5),
+    st.one_of(st.integers(1, 100), st.integers(1, 2**1000)),
+)
+def test_eval_matches_power_sum(coeffs, load):
+    value = LatencyFunction(coeffs).eval(load)
+    assert exact(value, power_sum(coeffs, load))
+
+
+@settings(max_examples=200, deadline=None)
+@given(thousand_bits, st.integers(1, 2**1000), st.integers(1, 64))
+def test_affine_eval_with_negative_offset(slope, offset, load):
+    coeffs = [-offset, slope]
+    assert exact(LatencyFunction(coeffs).eval(load), power_sum(coeffs, load))
 
 # Denominators up to 3 give both integral and fractional latency values.
 coefficient = st.fractions(min_value=0, max_value=4, max_denominator=3)
@@ -64,14 +97,22 @@ def test_game_costs_match_direct_evaluation(case):
     for u, strats in enumerate(game.players):
         mine = strats[state.choices[u]]
         assert exact(game.player_cost(state, u), direct_cost(game, loads, mine))
-        for alt, strat in enumerate(strats):
-            moved = game.state(
-                [alt if v == u else c for v, c in enumerate(state.choices)]
-            )
-            assert exact(
-                game.deviation_cost(state, u, alt),
-                direct_cost(game, load_profile(game, moved), strat),
-            )
+        check_deviations(game, game, state, u)
+
+
+def check_deviations(game, view, state, u):
+    """deviation_cost, cost_sums and best_response of `view` against moved states."""
+    expected = []
+    for alt, strat in enumerate(game.players[u]):
+        moved = game.state([alt if v == u else c for v, c in enumerate(state.choices)])
+        expected.append(direct_cost(game, load_profile(game, moved), strat))
+        assert exact(view.deviation_cost(state, u, alt), expected[-1])
+    sums = view.cost_sums(state, u)
+    assert sums == expected
+    if all(type(v) is int for col in game.latency_table for v in col):
+        assert all(type(c) is int for c in sums)
+    best = min(expected)
+    assert best_response(view, state, u) == (expected.index(best), best)
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,17 +129,9 @@ def test_subgame_costs_match_direct_evaluation(case):
     assert list(view.frozen_loads) == frozen
     assert exact(view.potential(state), direct_potential(game, active_loads, frozen))
     for u in active:
-        strats = game.players[u]
-        mine = strats[state.choices[u]]
+        mine = game.players[u][state.choices[u]]
         assert exact(view.player_cost(state, u), direct_cost(game, loads, mine))
-        for alt, strat in enumerate(strats):
-            moved = game.state(
-                [alt if v == u else c for v, c in enumerate(state.choices)]
-            )
-            assert exact(
-                view.deviation_cost(state, u, alt),
-                direct_cost(game, load_profile(game, moved), strat),
-            )
+        check_deviations(game, view, state, u)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,266 @@
+"""The incremental threshold scan against full-rescan reference implementations.
+
+`reference_solve` and `reference_eps_br` re-check every player before every
+move, with a `Fraction` best response, as the solver and the dynamics did
+before they kept an eligibility cache and compared integer table sums.  Their
+traces must match the package's byte for byte.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congames import CongestionGame, SolverConfig, epsilon_br_dynamics, solve
+from congames.dynamics import RunTrace, apply_move, optimistic_cost
+from congames.errors import ContractViolationError, ParameterError
+from congames.serialize import format_rational, read_instance
+from congames.solver import (
+    approximation_bound,
+    default_move_cap,
+    parameters,
+    partition_blocks,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def reference_threshold_move(game, state, u, q):
+    """find_threshold_move with every cost a Fraction."""
+    current = game.player_cost(state, u)
+    if current == 0:
+        return None
+    best_idx, best_cost = None, None
+    for idx in range(len(game.players[u])):
+        cost = game.deviation_cost(state, u, idx)
+        if best_cost is None or cost < best_cost:
+            best_idx, best_cost = idx, cost
+    if best_cost * q < current:
+        return best_idx, best_cost
+    return None
+
+
+def reference_solve(game, config):
+    """The phased solver with a full rescan of both blocks after every move."""
+    n = game.n_players
+    d = max(1, game.degree)
+    psi = config.psi
+    rng = random.Random(config.seed)
+
+    ells, initial_choices = [], []
+    for u in range(n):
+        ell, idx = optimistic_cost(game, u)
+        ells.append(ell)
+        initial_choices.append(idx)
+    state = game.state(initial_choices)
+    potential = game.potential(state)
+
+    params = {"n": n, "d": d, "psi": psi, "scheduler": config.scheduler}
+    if config.seed is not None:
+        params["seed"] = config.seed
+    partition = partition_blocks(ells, n, d, psi)
+    params["base"] = partition.base
+    params["m"] = partition.m
+    params["block_of"] = [partition.block_of.get(u) for u in range(n)]
+    params["zero_players"] = partition.zero_players
+    if partition.is_degenerate:
+        params["degenerate"] = True
+        return RunTrace(
+            state.choices, state.choices, potential, [], phases=[], parameters=params
+        )
+
+    q, p, th = parameters(n, d, config)
+    cap = config.move_cap
+    if cap is None:
+        cap = default_move_cap(n, d, psi)
+    params.update(
+        {
+            "q": format_rational(q),
+            "p": format_rational(p),
+            "theta": format_rational(th),
+            "bound": format_rational(approximation_bound(n, psi, p)),
+            "move_cap": cap,
+        }
+    )
+
+    moves, phases = [], []
+
+    def eligible_moves(members, factor):
+        for u in members:
+            found = reference_threshold_move(game, state, u, factor)
+            if found is not None:
+                yield u, found
+
+    for i in range(1, partition.m + 1):
+        block_i = partition.blocks[i - 1]
+        if not block_i:
+            continue
+        block_next = partition.blocks[i] if i < partition.m else []
+        phase_moves = 0
+        while True:
+            chosen = None
+            if config.scheduler == "scan":
+                chosen = next(eligible_moves(block_i, p), None)
+                if chosen is None:
+                    chosen = next(eligible_moves(block_next, q), None)
+            else:
+                candidates = list(eligible_moves(block_i, p))
+                candidates += list(eligible_moves(block_next, q))
+                if candidates:
+                    chosen = candidates[rng.randrange(len(candidates))]
+            if chosen is None:
+                break
+            u, (idx, new_cost) = chosen
+            if len(moves) + 1 > cap:
+                raise ContractViolationError(
+                    f"move cap {cap} exceeded in phase {i}; the schedule "
+                    "should terminate well below it"
+                )
+            state, potential = apply_move(
+                game, state, potential, u, idx, new_cost, moves, phase=i
+            )
+            phase_moves += 1
+        phases.append({"i": i, "block_size": len(block_i), "moves": phase_moves})
+
+    return RunTrace(
+        tuple(initial_choices), state.choices, potential, moves,
+        phases=phases, parameters=params,
+    )
+
+
+def reference_eps_br(
+    game, state0, epsilon, move_cap=100_000, order="roundrobin", seed=None
+):
+    """(1+eps)-dynamics re-checking every player of every sweep."""
+    q = 1 + epsilon
+    rng = random.Random(seed)
+    state = state0
+    potential = game.potential(state)
+    moves = []
+    truncated = False
+    while True:
+        players = list(range(game.n_players))
+        if order == "random":
+            rng.shuffle(players)
+        moved = False
+        for u in players:
+            found = reference_threshold_move(game, state, u, q)
+            if found is None:
+                continue
+            idx, new_cost = found
+            state, potential = apply_move(
+                game, state, potential, u, idx, new_cost, moves
+            )
+            moved = True
+            if len(moves) >= move_cap:
+                truncated = True
+                break
+        if truncated or not moved:
+            break
+    return RunTrace(
+        state0.choices, state.choices, potential, moves, truncated=truncated
+    )
+
+
+def outcome(run, *args, **kwargs):
+    """Trace JSON of a run, or the type and message of what it raised."""
+    try:
+        return run(*args, **kwargs).to_json()
+    except (ContractViolationError, ParameterError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_solve_matches(game, config):
+    assert outcome(solve, game, config) == outcome(reference_solve, game, config)
+
+
+def assert_eps_br_matches(game, state0, epsilon, **kwargs):
+    got = outcome(epsilon_br_dynamics, game, state0, epsilon, **kwargs)
+    assert got == outcome(reference_eps_br, game, state0, epsilon, **kwargs)
+
+
+@st.composite
+def tiered_games(draw):
+    """Small games with up to three tiers of latencies, a block base apart.
+
+    Every player of a tier has the tier's hub as strategy 0, and the others
+    cost at least as much alone, so all players start on their hub and the
+    crowded hubs make moves.  Some strategies also use a resource of the next
+    tier, so a move in one block changes loads that another block sees.
+    Degree 2 games carry fractional coefficients and need a theta override.
+    """
+    n = draw(st.integers(5, 12))
+    degree = draw(st.integers(1, 2))
+    base = 2 ** (degree + 1) * n ** (degree + 3)
+    n_tiers = draw(st.integers(1, 3))
+    top = st.fractions(min_value=0, max_value=2, max_denominator=2)
+    resources, hubs, others = [], [], []
+    for t in range(n_tiers):
+        scale = base ** (n_tiers - 1 - t)
+        square = [draw(top) * scale] if degree == 2 else []
+        hubs.append(len(resources))
+        resources.append([0, scale, *square])
+        others.append([])
+        for _ in range(draw(st.integers(1, 3))):
+            others[t].append(len(resources))
+            offset, slope = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+            resources.append([offset * scale, slope * scale, *square])
+    players = []
+    for _ in range(n):
+        t = draw(st.integers(0, n_tiers - 1))
+        reach = others[t] + (others[t + 1] if t + 1 < n_tiers else [])
+        alternative = st.lists(
+            st.sampled_from(reach), min_size=1, max_size=2, unique=True
+        )
+        alternatives = draw(st.lists(alternative, min_size=1, max_size=3))
+        players.append([[hubs[t]], *alternatives])
+    return CongestionGame(resources, players)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiered_games(), st.sampled_from(["scan", "random"]), st.integers(0, 3))
+def test_solve_matches_full_rescan(game, scheduler, seed):
+    theta = 3 if game.degree >= 2 else None
+    config = SolverConfig(psi=1, theta_override=theta, scheduler=scheduler, seed=seed)
+    assert_solve_matches(game, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tiered_games(),
+    st.sampled_from(["roundrobin", "random"]),
+    st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(3)]),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_eps_br_matches_full_rescan(game, order, epsilon, seed, data):
+    choices = [data.draw(st.integers(0, len(s) - 1)) for s in game.players]
+    cap = data.draw(st.sampled_from([1, 3, 100_000]))
+    assert_eps_br_matches(
+        game, game.state(choices), epsilon, move_cap=cap, order=order, seed=seed
+    )
+
+
+@pytest.mark.parametrize(
+    "instance", ["tiered.json", "random_d1.json", "random_d2.json"]
+)
+@pytest.mark.parametrize("scheduler", ["scan", "random"])
+def test_fixture_solve_matches_full_rescan(instance, scheduler):
+    game, _labels = read_instance(str(FIXTURES / instance))
+    theta = 3 if game.degree >= 2 else None
+    for seed in (0, 7):
+        config = SolverConfig(
+            psi=1, theta_override=theta, scheduler=scheduler, seed=seed
+        )
+        assert_solve_matches(game, config)
+
+
+@pytest.mark.parametrize("instance", ["tiered.json", "random_d1.json"])
+@pytest.mark.parametrize("order", ["roundrobin", "random"])
+def test_fixture_eps_br_matches_full_rescan(instance, order):
+    game, _labels = read_instance(str(FIXTURES / instance))
+    start = game.state([0] * game.n_players)
+    assert_eps_br_matches(game, start, Fraction(1, 10), order=order, seed=5)
