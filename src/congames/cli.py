@@ -61,11 +61,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_standard_instance(path: str) -> CongestionGame:
-    game, _labels = serialize.read_instance(path)
-    return game
-
-
 def _solve_and_verify(
     game: CongestionGame, config: solver.SolverConfig
 ) -> tuple[RunTrace, verify.ApproxReport, str, bool, float]:
@@ -89,7 +84,7 @@ def _solve_and_verify(
 
 
 def cmd_solve(args) -> int:
-    game = _load_standard_instance(args.instance)
+    game, _labels = serialize.read_instance(args.instance)
     config = solver.SolverConfig(
         psi=args.psi,
         theta_override=None if args.theta is None else to_fraction(args.theta),
@@ -237,7 +232,12 @@ BENCH_COLUMNS = [
 
 
 def cmd_bench(args) -> int:
-    ns = [int(t) for t in args.n_list.split(",") if t]
+    try:
+        ns = [int(t) for t in args.n_list.split(",") if t]
+    except ValueError:
+        raise ValidationError(
+            f"--n-list takes comma-separated integers, got {args.n_list!r}"
+        ) from None
     tasks = [
         (
             n,

@@ -196,8 +196,11 @@ class EligibilityCache:
     `new` changes loads only on old | new, so only the players in
     `game.users[e]` for those e (u among them) can get a different answer;
     `move` forgets exactly those entries, including cached Nones.  Results
-    are keyed by player alone: a caller that changes a player's threshold
-    factor must `clear` first.
+    are keyed by player alone, so a cached entry may be reused under a
+    larger threshold factor only when it is None: no move beats q implies
+    none beats p > q.  That is the only reuse `solver.solve` makes: when
+    phase i ends, every block-(i+1) entry is None under q, block i+1 is
+    checked next under p, and no player of a later block has been checked.
     """
 
     def __init__(self, game: CongestionGame):
@@ -212,9 +215,6 @@ class EligibilityCache:
         if u not in results:
             results[u] = find_threshold_move(self.game, state, u, q)
         return results[u]
-
-    def clear(self) -> None:
-        self.results.clear()
 
     def move(
         self,

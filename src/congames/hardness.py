@@ -33,13 +33,14 @@ f(1)=a and f(2)=b, realized as the affine function (b-a)x + 2a - b.
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import CongestionGame, LatencyFunction, to_fraction
+from .core import CongestionGame, LatencyFunction, to_fraction, to_index
 from .errors import ValidationError
+from .serialize import load_json
 
 Ref = tuple[str, int]  # ("x", i) | ("y", j) | ("g", k), all 0-based
 
@@ -62,8 +63,8 @@ class FlipInstance:
 
     def __init__(self, n_inputs: int, gates, outputs):
         gates = tuple((tuple(a), tuple(b)) for a, b in gates)
-        outputs = tuple(int(o) for o in outputs)
-        object.__setattr__(self, "n_inputs", int(n_inputs))
+        outputs = tuple(to_index(o) for o in outputs)
+        object.__setattr__(self, "n_inputs", to_index(n_inputs))
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "outputs", outputs)
         if self.n_inputs < 1:
@@ -72,24 +73,7 @@ class FlipInstance:
             raise ValidationError("circuit needs at least one gate")
         if not self.outputs:
             raise ValidationError("circuit needs at least one output")
-        for k, (a, b) in enumerate(self.gates):
-            for ref in (a, b):
-                kind, idx = ref
-                if kind == "x":
-                    if not 0 <= idx < self.n_inputs:
-                        raise ValidationError(f"gate {k} reads unknown input {idx}")
-                elif kind == "g":
-                    if not 0 <= idx < k:
-                        raise ValidationError(
-                            f"gate {k} must reference an earlier gate, got {idx}"
-                        )
-                else:
-                    raise ValidationError(
-                        f"gate {k} has unsupported input kind {kind!r}"
-                    )
-        for o in self.outputs:
-            if not 0 <= o < len(self.gates):
-                raise ValidationError(f"designated output {o} is not a gate")
+        _check_gates(self.gates, self.outputs, {"x": self.n_inputs})
 
     def eval_gates(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.n_inputs:
@@ -132,6 +116,33 @@ def flip_is_local_min(
     return True, None
 
 
+def _check_gates(
+    gates: Sequence[tuple[Ref, Ref]],
+    outputs: Sequence[int],
+    sizes: dict[str, int],
+) -> None:
+    """Validate the gate references of one circuit.
+
+    Every gate input is either ``(kind, i)`` with ``kind`` in `sizes` and
+    ``0 <= i < sizes[kind]``, or ``("g", k)`` naming an earlier gate; every
+    designated output names a gate.
+    """
+    for k, (a, b) in enumerate(gates):
+        for kind, idx in (a, b):
+            limit = k if kind == "g" else sizes.get(kind)
+            if limit is None:
+                raise ValidationError(f"gate {k} has unsupported input kind {kind!r}")
+            if not 0 <= idx < limit:
+                if kind == "g":
+                    raise ValidationError(
+                        f"gate {k} must reference an earlier gate, got {idx}"
+                    )
+                raise ValidationError(f"gate {k} reads unknown {kind} {idx}")
+    for o in outputs:
+        if not 0 <= o < len(gates):
+            raise ValidationError(f"designated output {o} is not a gate")
+
+
 def _ref_to_json(ref: Ref) -> dict:
     return {ref[0]: ref[1]}
 
@@ -140,7 +151,7 @@ def _ref_from_json(doc: dict) -> Ref:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValidationError(f"malformed gate input reference: {doc!r}")
     kind, idx = next(iter(doc.items()))
-    return (kind, int(idx))
+    return (kind, to_index(idx))
 
 
 def flip_instance_to_dict(circuit: FlipInstance) -> dict:
@@ -165,8 +176,7 @@ def flip_instance_from_dict(doc: dict) -> FlipInstance:
 
 
 def read_flip_instance(path: str) -> FlipInstance:
-    with open(path, "r", encoding="utf-8") as fp:
-        return flip_instance_from_dict(json.load(fp))
+    return flip_instance_from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +225,10 @@ class BundleGate:
 
 @dataclass(frozen=True)
 class CircuitGraph:
+    """Gates over x, y and earlier g; the `Bundle` holding it checks them."""
+
     gates: tuple[BundleGate, ...]
     outputs: tuple[int, ...]
-
-    def __post_init__(self):
-        for k, g in enumerate(self.gates):
-            for ref in (g.a, g.b):
-                kind, idx = ref
-                if kind == "g" and not 0 <= idx < k:
-                    raise ValidationError(
-                        f"gate {k} must reference an earlier gate, got {idx}"
-                    )
-                if kind not in ("x", "y", "g"):
-                    raise ValidationError(f"unsupported input kind {kind!r}")
-        for o in self.outputs:
-            if not 0 <= o < len(self.gates):
-                raise ValidationError(f"designated output {o} is not a gate")
 
 
 CompKey = tuple[int, int, int]  # (output j, input i, target bit b), 0-based
@@ -268,6 +266,12 @@ class Bundle:
             elif len(comp.outputs) != 1:
                 raise ValidationError(
                     f"comparison {(j, i, b)} must designate exactly one output"
+                )
+        sizes = {"x": self.n_inputs, "y": self.n_outputs}
+        for graph in (self.main, *self.comparisons.values()):
+            if isinstance(graph, CircuitGraph):
+                _check_gates(
+                    [(g.a, g.b) for g in graph.gates], graph.outputs, sizes
                 )
 
     def present_keys(self) -> list[CompKey]:
@@ -325,17 +329,22 @@ def bundle_from_dict(doc: dict) -> Bundle:
                 )
                 for g in gdoc["gates"]
             ),
-            tuple(gdoc["outputs"]),
+            tuple(to_index(o) for o in gdoc["outputs"]),
         )
 
     try:
         comps: dict[CompKey, Comparison] = {}
         for key, cdoc in doc.get("comparisons", {}).items():
-            j, i, b = (int(t) for t in key.split(","))
+            match = re.fullmatch("([0-9]+),([0-9]+),([0-9]+)", key)
+            if match is None:
+                raise ValidationError(f"bad comparison key {key!r}")
+            j, i, b = (int(digits) for digits in match.groups())
             comps[(j, i, b)] = (
-                cdoc["const"] if "const" in cdoc else graph(cdoc)
+                to_index(cdoc["const"]) if "const" in cdoc else graph(cdoc)
             )
-        return Bundle(int(doc["inputs"]), int(doc["outputs"]), graph(doc["main"]), comps)
+        return Bundle(
+            to_index(doc["inputs"]), to_index(doc["outputs"]), graph(doc["main"]), comps
+        )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed bundle document: {exc}") from exc
 
@@ -583,12 +592,15 @@ def build_flip_game(
     n, m = bundle.n_inputs, bundle.n_outputs
     alpha, beta, gamma, M = params.alpha, params.beta, params.gamma, params.big_m
 
+    def comp_tag(key: CompKey) -> str:
+        return f"{key[0]},{key[1]},{key[2]}"
+
     # Global gate table: main circuit first, then comparisons in key order.
     circuits: list[tuple[str, CircuitGraph]] = [("main", bundle.main)]
     for key in sorted(bundle.comparisons):
         comp = bundle.comparisons[key]
         if isinstance(comp, CircuitGraph):
-            circuits.append((f"{key[0]},{key[1]},{key[2]}", comp))
+            circuits.append((comp_tag(key), comp))
 
     gate_circuit: list[str] = []  # per global gate: circuit tag
     gate_info: list[BundleGate] = []
@@ -611,28 +623,18 @@ def build_flip_game(
     g_label = [f"G_{glabel(k)}" for k in range(k_total)]
 
     providers: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    readers_of_x: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    readers_of_y: list[list[tuple[int, str]]] = [[] for _ in range(m)]
-    readers_of_g: list[list[tuple[int, str]]] = [[] for _ in range(k_total)]
+    readers: dict[str, list[list[tuple[int, str]]]] = {
+        "x": [[] for _ in range(n)],
+        "y": [[] for _ in range(m)],
+        "g": [[] for _ in range(k_total)],
+    }
     for k, gate in enumerate(gate_info):
-        tag = gate_circuit[k]
         resolved = []
-        for slot, ref in (("a", gate.a), ("b", gate.b)):
-            kind, idx = ref
-            if kind == "x":
-                if not 0 <= idx < n:
-                    raise ValidationError(f"gate {k} reads unknown input {idx}")
-                readers_of_x[idx].append((k, slot))
-                resolved.append(("x", idx))
-            elif kind == "y":
-                if not 0 <= idx < m:
-                    raise ValidationError(f"gate {k} reads unknown output {idx}")
-                readers_of_y[idx].append((k, slot))
-                resolved.append(("y", idx))
-            else:
-                src = local_to_global[(tag, idx)]
-                readers_of_g[src].append((k, slot))
-                resolved.append(("g", src))
+        for slot, (kind, idx) in (("a", gate.a), ("b", gate.b)):
+            if kind == "g":
+                idx = local_to_global[(gate_circuit[k], idx)]
+            readers[kind][idx].append((k, slot))
+            resolved.append((kind, idx))
         providers.append((resolved[0], resolved[1]))
 
     def provider_label(ref: tuple[str, int]) -> str:
@@ -665,19 +667,13 @@ def build_flip_game(
         return asm.resource(f"TriggerUnlockG_{glabel(k)}", alpha, alpha**3)
 
     def value_rows(ref_kind: str, idx: int, value: int, owner: str) -> list[int]:
-        readers = {"x": readers_of_x, "y": readers_of_y, "g": readers_of_g}[
-            ref_kind
-        ][idx]
         rows = []
-        for k, slot in readers:
+        for k, slot in readers[ref_kind][idx]:
             rows.append(bit(value, slot, k))
             rows.append(lock_copy(value, slot, k, owner))
         return rows
 
     present = bundle.present_keys()
-
-    def comp_tag(key: CompKey) -> str:
-        return f"{key[0]},{key[1]},{key[2]}"
 
     def block_s(key: CompKey, y_owner: int) -> int:
         j, i, b = key
@@ -776,7 +772,7 @@ def build_flip_game(
         rows = [lock_gate(k, "Controller"), trigger_lock(k, "Controller")]
         if k in main_gate_ids:
             rows += [trigger_lock(k, f"Y_{j + 1}") for j in range(m)]
-        for r, _slot in readers_of_g[k]:
+        for r, _slot in readers["g"][k]:
             rows.append(lock_gate(k, f"LockG_{glabel(r)}"))
         asm.strategy(p, "Unlock", rows)
 
@@ -945,7 +941,6 @@ class StructuralReport:
     max_players_per_resource: int
     sharing_offenders: list[dict]
     negative_values: list[dict]
-    player_counts: list[int]
 
     def to_dict(self) -> dict:
         return {
@@ -983,5 +978,4 @@ def structural_check(game: CongestionGame) -> StructuralReport:
         max_players_per_resource=max(counts, default=0),
         sharing_offenders=offenders,
         negative_values=negatives,
-        player_counts=counts,
     )

@@ -71,8 +71,13 @@ def dump_json(doc: dict, fp: IO[str]) -> None:
     fp.write("\n")
 
 
-def dumps_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def load_json(path: str) -> Any:
+    """Parse a UTF-8 JSON file; anything else raises ValidationError."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def write_instance(
@@ -83,12 +88,7 @@ def write_instance(
 
 
 def read_instance(path: str) -> tuple[CongestionGame, Optional[dict]]:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return game_from_dict(doc)
+    return game_from_dict(load_json(path))
 
 
 def write_state(choices, path: str) -> None:
@@ -97,11 +97,7 @@ def write_state(choices, path: str) -> None:
 
 
 def read_state(path: str) -> list[int]:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+    doc = load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("state"), list):
         raise ValidationError(f"{path} is not a state file")
     return [to_index(c) for c in doc["state"]]

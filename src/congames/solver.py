@@ -203,10 +203,10 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     on single-block partitions (all optimistic costs equal) it is what
     equilibrates the only block.
 
-    Threshold checks go through an `EligibilityCache`, cleared when a phase
-    starts: after a move only the players sharing a resource with the
-    mover's old or new strategy are checked again, and the schedulers see
-    exactly the eligible sets a full rescan would find.
+    Threshold checks go through one `EligibilityCache` for the whole run:
+    after a move only the players sharing a resource with the mover's old or
+    new strategy are checked again, and the schedulers see exactly the
+    eligible sets a full rescan would find.
 
     The returned trace records exact costs and potentials per move, phase
     summaries, parameters, and the guarantee bound p(1 + 4 n^-psi).
@@ -288,8 +288,6 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
         if not block_i:
             continue
         block_next = partition.blocks[i] if i < partition.m else []
-        # Block i was checked against q last phase and is against p now.
-        cache.clear()
         phase_moves = 0
         while True:
             chosen = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -104,33 +104,38 @@ class ApproxReport:
 
 
 def approximation_factor(game: CongestionGame, state: State) -> ApproxReport:
-    """Exhaustive worst improvement ratio over all players and deviations."""
-    best_ratio: Optional[Fraction] = None  # None means nothing seen yet
+    """Exhaustive worst improvement ratio over all players and deviations.
+
+    All ratios of one player share the numerator, the player's cost, so the
+    worst is that cost over the cheapest deviation, found by comparing
+    deviation costs (integer cross-multiplication); the witness is the first
+    worst pair in (player, strategy) order.  The current strategy is among
+    the deviations, so a cheapest deviation of 0 means 0/0 = 1 or
+    positive/0 = infinity.
+    """
+    best_ratio: Optional[Fraction] = None
     infinite = False
     witness = (0, state.choices[0])
     per_player: list[Optional[Fraction]] = []
     for u in range(game.n_players):
         cur = game.player_cost(state, u)
-        player_worst: Optional[Fraction] = Fraction(0)
-        player_infinite = False
-        for alt in range(len(game.players[u])):
-            dev = game.deviation_cost(state, u, alt)
-            if dev == 0:
-                ratio: Optional[Fraction] = Fraction(1) if cur == 0 else None
-            else:
-                ratio = cur / dev
-            if ratio is None:
-                if not player_infinite:
-                    player_infinite = True
-                    if not infinite:
-                        infinite = True
-                        witness = (u, alt)
-            elif not player_infinite and ratio > player_worst:
-                player_worst = ratio
-                if not infinite and (best_ratio is None or ratio > best_ratio):
-                    best_ratio = ratio
-                    witness = (u, alt)
-        per_player.append(None if player_infinite else player_worst)
+        low, alt = min(
+            (game.deviation_cost(state, u, a), a)
+            for a in range(len(game.players[u]))
+        )
+        ratio: Optional[Fraction]
+        if low == 0:
+            ratio = Fraction(1) if cur == 0 else None
+        else:
+            ratio = cur / low
+        per_player.append(ratio)
+        if ratio is None:
+            if not infinite:
+                infinite = True
+                witness = (u, alt)
+        elif not infinite and (best_ratio is None or ratio > best_ratio):
+            best_ratio = ratio
+            witness = (u, alt)
     if infinite:
         return ApproxReport(None, True, witness, per_player)
     assert best_ratio is not None
@@ -299,43 +304,33 @@ class AuditReport:
     potential_ratio: AuditCheck = field(default_factory=AuditCheck)
     max_ratio_observed: Optional[Fraction] = None
 
-    @property
-    def total_violations(self) -> int:
-        return (
-            len(self.rosenthal.violations)
-            + len(self.sandwich.violations)
-            + len(self.subadditivity.violations)
-            + len(self.subgame_consistency.violations)
-            + len(self.potential_ratio.violations)
-        )
-
-    def to_dict(self) -> dict:
+    def checks(self) -> dict[str, AuditCheck]:
+        """The identity checks by name, in field order."""
         return {
-            "rosenthal": self.rosenthal.to_dict(),
-            "sandwich": self.sandwich.to_dict(),
-            "subadditivity": self.subadditivity.to_dict(),
-            "subgame_consistency": self.subgame_consistency.to_dict(),
-            "potential_ratio": self.potential_ratio.to_dict(),
-            "max_ratio_observed": (
-                None
-                if self.max_ratio_observed is None
-                else format_rational(self.max_ratio_observed)
-            ),
-            "total_violations": self.total_violations,
+            f.name: check
+            for f in fields(self)
+            if isinstance(check := getattr(self, f.name), AuditCheck)
         }
 
+    @property
+    def total_violations(self) -> int:
+        return sum(len(c.violations) for c in self.checks().values())
+
+    def to_dict(self) -> dict:
+        doc: dict = {name: c.to_dict() for name, c in self.checks().items()}
+        doc["max_ratio_observed"] = (
+            None
+            if self.max_ratio_observed is None
+            else format_rational(self.max_ratio_observed)
+        )
+        doc["total_violations"] = self.total_violations
+        return doc
+
     def merge(self, other: "AuditReport") -> None:
-        for name in (
-            "rosenthal",
-            "sandwich",
-            "subadditivity",
-            "subgame_consistency",
-            "potential_ratio",
-        ):
-            mine: AuditCheck = getattr(self, name)
-            theirs: AuditCheck = getattr(other, name)
-            mine.trials += theirs.trials
-            mine.violations.extend(theirs.violations)
+        theirs = other.checks()
+        for name, mine in self.checks().items():
+            mine.trials += theirs[name].trials
+            mine.violations.extend(theirs[name].violations)
         if other.max_ratio_observed is not None and (
             self.max_ratio_observed is None
             or other.max_ratio_observed > self.max_ratio_observed
@@ -360,14 +355,13 @@ def audit_identities(
     seed: int,
     trials: int,
     budget: Optional[int] = None,
-    ratio_check: bool = True,
 ) -> AuditReport:
     """Randomized exact audit of the potential-function identities.
 
     Per trial: the move-by-move potential identity on a random deviation, the
     latency/potential/total-cost sandwich, sub-potential subadditivity and
     monotonicity for a random frozen subset, and cost consistency between the
-    game and the subgame view.  With `ratio_check`, additionally drives
+    game and the subgame view.  Once per audit, it also drives
     (1+eps)-dynamics to a q-approximate state (q = 3/2) and compares its
     potential against the global minimum: for games of degree <= 1 the ratio
     must stay within 2q/(2-q) = 6; for higher degrees the ratio is only
@@ -460,43 +454,32 @@ def audit_identities(
                     )
                 )
 
-    if ratio_check:
-        report.potential_ratio.trials += 1
-        try:
-            _, phi_min = brute_min_potential(game, budget)
-        except BudgetExceededError:
-            report.potential_ratio.trials -= 1
-        else:
-            q = Fraction(3, 2)
-            trace = epsilon_br_dynamics(
-                game, sample_state(game, rng), epsilon=q - 1
+    try:
+        _, phi_min = brute_min_potential(game, budget)
+    except BudgetExceededError:
+        return report
+    report.potential_ratio.trials += 1
+    q = Fraction(3, 2)
+    trace = epsilon_br_dynamics(game, sample_state(game, rng), epsilon=q - 1)
+    if trace.truncated:
+        return report
+    phi_end = trace.final_potential
+    if phi_min > 0:
+        ratio = phi_end / phi_min
+        if report.max_ratio_observed is None or ratio > report.max_ratio_observed:
+            report.max_ratio_observed = ratio
+    if game.degree <= 1 and phi_end > 2 * q / (2 - q) * phi_min:
+        report.potential_ratio.violations.append(
+            _counterexample(
+                game,
+                State.of(game, trace.final_state),
+                {
+                    "q": format_rational(q),
+                    "potential": format_rational(phi_end),
+                    "min_potential": format_rational(phi_min),
+                },
             )
-            if not trace.truncated:
-                phi_end = trace.final_potential
-                ratio: Optional[Fraction] = None
-                if phi_min > 0:
-                    ratio = phi_end / phi_min
-                    if report.max_ratio_observed is None or (
-                        ratio > report.max_ratio_observed
-                    ):
-                        report.max_ratio_observed = ratio
-                bound = 2 * q / (2 - q)
-                violated = (
-                    phi_end > bound * phi_min if game.degree <= 1 else False
-                )
-                if violated:
-                    report.potential_ratio.violations.append(
-                        _counterexample(
-                            game,
-                            State.of(game, trace.final_state),
-                            {
-                                "q": format_rational(q),
-                                "potential": format_rational(phi_end),
-                                "min_potential": format_rational(phi_min),
-                            },
-                        )
-                    )
-
+        )
     return report
 
 

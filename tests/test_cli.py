@@ -227,6 +227,22 @@ class TestFlipGen:
         assert labels and "players" in labels
         assert json.loads(bundle.read_text())["inputs"] == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"inputs": 2, "gates": [{"a": {"x": 0.5}, "b": {"x": 1}}], "outputs": [0]}',
+        '{"inputs": 2, "gates": [{"a": {"x": 0}, "b": {"x": 1}}], "outputs": [0.7]}',
+        '{"inputs": 2, "gates": [{"a": {"x": "a"}, "b": {"x": 1}}], "outputs": [0]}',
+        '{"inputs": "x", "gates": [{"a": {"x": 0}, "b": {"x": 1}}], "outputs": [0]}',
+        '{"inputs": 2, "gates": [{"a": {"y": 0}, "b": {"x": 1}}], "outputs": [0]}',
+        '{"inputs": 2, "gates": [',
+    ])
+    def test_malformed_circuit_exit_2(self, tmp_path, capsys, text):
+        circ = tmp_path / "circ.json"
+        circ.write_text(text)
+        out = tmp_path / "game.json"
+        assert run(["flip-gen", str(circ), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         circ = tmp_path / "circ.json"
         circ.write_text(json.dumps(
@@ -295,6 +311,11 @@ class TestBench:
                     "--workers", "64", "--out", str(out)]) == 0
         assert created == expected
         assert len(out.read_text().splitlines()) == 1 + 2
+
+    def test_non_integer_n_list_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--n-list", "a", "--out", str(out)]) == 2
+        assert "--n-list" in capsys.readouterr().err
 
     def test_missing_instance_file(self, tmp_path):
         assert run(["solve", str(tmp_path / "nope.json")]) == 2

@@ -414,6 +414,44 @@ class TestBundleValidation:
         with pytest.raises(ValidationError):
             Bundle(1, 1, graph, {(0, 0, 1): double})
 
+    def test_refs_checked_against_bundle_sizes(self):
+        for bad in (X(1), ("y", 1), G(0), ("z", 0)):
+            graph = CircuitGraph((BundleGate(X(0), bad),), (0,))
+            with pytest.raises(ValidationError):
+                Bundle(1, 1, graph)
+        main = CircuitGraph((BundleGate(X(0), X(0)),), (0,))
+        comp = CircuitGraph((BundleGate(("y", 3), X(0)),), (0,))
+        with pytest.raises(ValidationError):
+            Bundle(1, 1, main, {(0, 0, 1): comp})
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d["main"]["gates"][0].update(a={"x": 3}), id="x-range"),
+        pytest.param(lambda d: d["main"]["gates"][1].update(a={"y": 7}), id="y-range"),
+        pytest.param(lambda d: d["main"]["gates"][0].update(a={"x": 0.5}), id="x-half"),
+        pytest.param(lambda d: d["main"]["gates"][0].update(a={"x": "0"}), id="x-str"),
+        pytest.param(lambda d: d["main"].update(outputs=[0.7]), id="output-frac"),
+        pytest.param(lambda d: d.update(inputs=1.5), id="inputs-frac"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0,1": {
+            "gates": [{"a": {"x": 3}, "b": {"x": 0}}], "outputs": [0]}}),
+            id="comparison-x-range"),
+        pytest.param(lambda d: d["comparisons"].update({"a,b,c": {"const": 1}}),
+                     id="key-letters"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0": {"const": 1}}),
+                     id="key-short"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0,0,0": {"const": 1}}),
+                     id="key-long"),
+        pytest.param(lambda d: d["comparisons"].update({"0,5,1": {"const": 1}}),
+                     id="key-range"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0,1": {"const": 0.5}}),
+                     id="const-frac"),
+    ])
+    def test_bundle_document_rejected(self, edit):
+        doc = bundle_to_dict(derive_subcircuits(NOT_X))
+        assert bundle_from_dict(doc) == derive_subcircuits(NOT_X)
+        edit(doc)
+        with pytest.raises(ValidationError):
+            bundle_from_dict(doc)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValidationError):
             BundleGate(X(0), X(0), ("111",))

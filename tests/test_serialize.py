@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from congames import CongestionGame, ValidationError
+from congames.hardness import read_flip_instance
 from congames.serialize import (
     format_rational,
     game_from_dict,
@@ -91,3 +92,12 @@ def test_state_file_rejects_other_documents(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValidationError):
         read_state(str(path))
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"])
+def test_unreadable_json_rejected(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for read in (read_instance, read_state, read_flip_instance):
+        with pytest.raises(ValidationError, match="invalid JSON in"):
+            read(str(path))

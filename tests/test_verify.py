@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congames import (
     BudgetExceededError,
@@ -75,6 +77,75 @@ class TestApproximationFactor:
             s = g.state([rng.randrange(len(p)) for p in g.players])
             report = approximation_factor(g, s)
             assert report.infinite or report.rho_star >= 1
+
+
+def reference_approximation_factor(game, state):
+    """(rho_star, infinite, witness, per_player) from one Fraction per pair.
+
+    Ratio cur/dev, with 0/0 = 1 and positive/0 = infinity (None); the
+    witness is the first infinite pair, else the first pair at the maximum.
+    """
+    ratios = []
+    for u in range(game.n_players):
+        cur = game.player_cost(state, u)
+        for alt in range(len(game.players[u])):
+            dev = game.deviation_cost(state, u, alt)
+            if dev == 0:
+                ratios.append((u, alt, F(1) if cur == 0 else None))
+            else:
+                ratios.append((u, alt, cur / dev))
+    per_player = []
+    for u in range(game.n_players):
+        mine = [r for v, _, r in ratios if v == u]
+        per_player.append(None if None in mine else max(mine))
+    infinite = [(u, alt) for u, alt, r in ratios if r is None]
+    if infinite:
+        return None, True, infinite[0], per_player
+    top = max(r for _, _, r in ratios)
+    witness = next((u, alt) for u, alt, r in ratios if r == top)
+    return top, False, witness, per_player
+
+
+@st.composite
+def games_with_zero_costs(draw):
+    """Small games whose zero latencies make 0/0 and x/0 ratios common."""
+    n_res = draw(st.integers(1, 4))
+    coeffs = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=1, max_size=2)
+    resources = [draw(coeffs) for _ in range(n_res)]
+    strategy = st.lists(st.integers(0, n_res - 1), min_size=1, max_size=n_res)
+    players = draw(
+        st.lists(st.lists(strategy, min_size=1, max_size=3), min_size=1, max_size=4)
+    )
+    game = CongestionGame(resources, players)
+    choices = [draw(st.integers(0, len(p) - 1)) for p in game.players]
+    return game, game.state(choices)
+
+
+class TestApproximationFactorReference:
+    @settings(max_examples=300, deadline=None)
+    @given(games_with_zero_costs())
+    def test_matches_per_pair_fractions(self, game_state):
+        game, state = game_state
+        report = approximation_factor(game, state)
+        rho_star, infinite, witness, per_player = reference_approximation_factor(
+            game, state
+        )
+        assert report.infinite == infinite
+        assert report.rho_star == rho_star
+        assert report.witness == witness
+        assert report.per_player == per_player
+
+    def test_zero_over_zero_and_positive_over_zero(self):
+        # player 0 pays 0 with a free deviation (0/0); player 1 pays 2 and
+        # could move to the free resource (2/0)
+        g = CongestionGame([[0], [2]], [[[0], [0]], [[1], [0]]])
+        state = g.state([0, 0])
+        report = approximation_factor(g, state)
+        assert report.per_player == [1, None]
+        assert report.infinite and report.witness == (1, 1)
+        assert reference_approximation_factor(g, state)[1:] == (
+            True, (1, 1), [1, None]
+        )
 
 
 class TestBruteMinPotential:
