@@ -14,7 +14,6 @@ from .core import (
     SubgameView,
     aggregate_metrics,
     deviation_cost,
-    eval_latency,
     load_profile,
     player_cost,
     rosenthal_potential,
@@ -41,7 +40,6 @@ from .hardness import (
     Bundle,
     FlipInstance,
     GadgetParams,
-    LatencyPair,
     build_flip_game,
     derive_subcircuits,
     flip_is_local_min,
@@ -83,7 +81,6 @@ __all__ = [
     "GenSpec",
     "GenerationError",
     "LatencyFunction",
-    "LatencyPair",
     "MoveRecord",
     "ParameterError",
     "RunTrace",
@@ -102,7 +99,6 @@ __all__ = [
     "deviation_cost",
     "enumerate_equilibria",
     "epsilon_br_dynamics",
-    "eval_latency",
     "find_threshold_move",
     "flip_is_local_min",
     "flip_objective",

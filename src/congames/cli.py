@@ -114,8 +114,7 @@ def cmd_verify(args) -> int:
         line += f" ok={str(report.is_approx(rho)).lower()}"
     print(line)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fp:
-            serialize.dump_json(report.to_dict(), fp)
+        serialize.write_json(report.to_dict(), args.report)
     return EXIT_OK
 
 

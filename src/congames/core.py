@@ -30,6 +30,8 @@ built on first use and cached on the game.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +46,22 @@ STANDARD = "standard"
 HARDNESS = "hardness"
 
 
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a decimal exponent beyond Python's integer string limit.
+
+    The limit is `sys.get_int_max_str_digits()`: 4300 by default, 0 for
+    none (as on Pythons without it).  Unchecked, "1e4000000" would expand
+    into a 13-million-bit integer from nine characters.
+    """
+    match = _EXPONENT.search(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if match and limit and abs(int(match[1])) > limit:
+        raise ValidationError(f"exponent of {text!r} exceeds the {limit}-digit limit")
+
+
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' / decimal strings to Fraction."""
     if isinstance(value, Fraction):
@@ -52,6 +70,8 @@ def to_fraction(value: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational: {value!r}")
     if isinstance(value, (int, str)):
         try:
+            if isinstance(value, str):
+                _check_exponent(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {value!r}") from exc
@@ -94,10 +114,6 @@ class LatencyFunction:
         return d
 
     @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @property
     def has_nonnegative_coeffs(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
@@ -117,14 +133,6 @@ class LatencyFunction:
         for a in nums:
             total = total * load + a
         return Fraction(total, den)
-
-    def __call__(self, load: int) -> Fraction:
-        return self.eval(load)
-
-
-def eval_latency(func: LatencyFunction, load: int) -> Fraction:
-    """Evaluate a latency function at a positive integer load, exactly."""
-    return func.eval(load)
 
 
 @dataclass(frozen=True)

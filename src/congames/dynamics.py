@@ -18,7 +18,6 @@ on one of her resources.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +25,7 @@ from typing import IO, Optional
 
 from .core import CongestionGame, GameLike, State, to_fraction
 from .errors import ValidationError
-from .serialize import format_rational
+from .serialize import format_rational, json_text
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,12 @@ class RunTrace:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json_text(self.to_dict())
 
     def write_json(self, path: str) -> None:
+        text = self.to_json()  # before opening: a failed conversion leaves no file
         with open(path, "w", encoding="utf-8") as fp:
-            fp.write(self.to_json())
+            fp.write(text)
 
     def write_csv(self, fp: IO[str]) -> None:
         writer = csv.writer(fp, lineterminator="\n")

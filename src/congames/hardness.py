@@ -183,26 +183,9 @@ def read_flip_instance(path: str) -> FlipInstance:
 # Latency value pairs
 
 
-@dataclass(frozen=True)
-class LatencyPair:
-    """Latency values at one and at two users of a resource."""
-
-    at_one: Fraction
-    at_two: Fraction
-
-    def __init__(self, at_one, at_two=None):
-        a = to_fraction(at_one)
-        b = a if at_two is None else to_fraction(at_two)
-        if a < 0 or b < 0:
-            raise ValidationError(f"latency values must be non-negative: {a}/{b}")
-        object.__setattr__(self, "at_one", a)
-        object.__setattr__(self, "at_two", b)
-
-
-def pair_to_linear(pair: LatencyPair) -> LatencyFunction:
+def pair_to_linear(at_one: int, at_two: int) -> LatencyFunction:
     """Affine function with f(1) = at_one and f(2) = at_two."""
-    a, b = pair.at_one, pair.at_two
-    return LatencyFunction([2 * a - b, b - a])
+    return LatencyFunction([2 * at_one - at_two, at_two - at_one])
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +527,14 @@ class GadgetParams:
 class _GameAssembler:
     def __init__(self):
         self.resource_names: list[str] = []
-        self.resource_pairs: list[LatencyPair] = []
+        self.resource_pairs: list[tuple[int, int]] = []
         self._index: dict[str, int] = {}
         self.player_labels: list[str] = []
         self.strategy_labels: list[list[str]] = []
         self.strategies: list[list[list[int]]] = []
 
-    def resource(self, name: str, at_one, at_two) -> int:
-        pair = LatencyPair(at_one, at_two)
+    def resource(self, name: str, at_one: int, at_two: Optional[int]) -> int:
+        pair = (at_one, at_one if at_two is None else at_two)
         if name in self._index:
             idx = self._index[name]
             if self.resource_pairs[idx] != pair:
@@ -869,7 +852,7 @@ def build_flip_game(
         rows += value_rows("y", j, 0, y_label[j])
         asm.strategy(p, "Zero", rows)
 
-    resources = [pair_to_linear(pair) for pair in asm.resource_pairs]
+    resources = [pair_to_linear(a, b) for a, b in asm.resource_pairs]
     game = CongestionGame(resources, asm.strategies, mode="hardness")
     labels = {
         "players": asm.player_labels,
@@ -926,12 +909,10 @@ def positivize(
     scale = count * alpha
     new_resources = []
     for f in game.resources:
-        a, b = f.eval(1), f.eval(2)
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValidationError("positivize requires integer latency values")
-        new_a = Fraction(1) if a == 0 else a * scale
-        new_b = Fraction(1) if b == 0 else b * scale
-        new_resources.append(pair_to_linear(LatencyPair(new_a, new_b)))
+        a, b = f.eval(1).numerator, f.eval(2).numerator  # integral in hardness mode
+        new_a = 1 if a == 0 else a * scale
+        new_b = 1 if b == 0 else b * scale
+        new_resources.append(pair_to_linear(new_a, new_b))
     return CongestionGame(new_resources, game.players, mode="hardness")
 
 
@@ -940,23 +921,15 @@ class StructuralReport:
     passed: bool
     max_players_per_resource: int
     sharing_offenders: list[dict]
-    negative_values: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_players_per_resource": self.max_players_per_resource,
-            "sharing_offenders": self.sharing_offenders,
-            "negative_values": self.negative_values,
-        }
 
 
 def structural_check(game: CongestionGame) -> StructuralReport:
-    """Verify the two-players-per-resource property and value non-negativity.
+    """Verify the two-players-per-resource property.
 
     Counts, per resource, the distinct players whose strategy sets mention
-    it (pass iff the maximum is at most two), and checks f(1) >= 0 and
-    f(2) >= 0 for every resource.  An empty game passes vacuously.
+    it; passes iff the maximum is at most two.  An empty game passes
+    vacuously.  Latency values need no check here: `CongestionGame`
+    enforces non-negative values at every reachable load in hardness mode.
     """
     users = game.users
     counts = [len(s) for s in users]
@@ -965,17 +938,8 @@ def structural_check(game: CongestionGame) -> StructuralReport:
         for e in range(game.n_resources)
         if counts[e] > 2
     ]
-    negatives = []
-    for e, f in enumerate(game.resources):
-        for load in (1, 2):
-            value = f.eval(load)
-            if value < 0:
-                negatives.append(
-                    {"resource": e, "load": load, "value": str(value)}
-                )
     return StructuralReport(
-        passed=not offenders and not negatives,
+        passed=not offenders,
         max_players_per_resource=max(counts, default=0),
         sharing_offenders=offenders,
-        negative_values=negatives,
     )

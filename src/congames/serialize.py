@@ -17,6 +17,7 @@ Round trips are bit exact: parse(format(x)) == x for every Fraction x.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, IO, Optional, Union
 
@@ -25,8 +26,18 @@ from .errors import ValidationError
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical exact string: '5', '-3/4', '17/16'."""
-    return str(Fraction(x))
+    """Canonical exact string: '5', '-3/4', '17/16'.
+
+    A numerator or denominator longer than Python's integer string limit
+    (`sys.get_int_max_str_digits()`) raises ValidationError.
+    """
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise ValidationError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of sys.set_int_max_str_digits"
+        ) from exc
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
@@ -59,16 +70,28 @@ def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
             for r in doc["resources"]
         ]
         players = [p["strategies"] for p in doc["players"]]
+        if not players:
+            raise ValidationError("an instance needs at least one player")
         game = CongestionGame(resources, players, mode=mode)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance document: {exc}") from exc
     return game, doc.get("labels")
 
 
-def dump_json(doc: dict, fp: IO[str]) -> None:
+def json_text(doc: dict) -> str:
     """Deterministic JSON: fixed key order, 2-space indent, trailing newline."""
-    json.dump(doc, fp, indent=2)
-    fp.write("\n")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def dump_json(doc: dict, fp: IO[str]) -> None:
+    fp.write(json_text(doc))
+
+
+def write_json(doc: dict, path: str) -> None:
+    """Convert first and then open, so a failed conversion leaves no file."""
+    text = json_text(doc)
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(text)
 
 
 def load_json(path: str) -> Any:
@@ -76,15 +99,14 @@ def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fp:
         try:
             return json.load(fp)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad syntax, bad UTF-8, too many digits
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def write_instance(
     game: CongestionGame, path: str, labels: Optional[dict] = None
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        dump_json(game_to_dict(game, labels), fp)
+    write_json(game_to_dict(game, labels), path)
 
 
 def read_instance(path: str) -> tuple[CongestionGame, Optional[dict]]:
@@ -92,8 +114,7 @@ def read_instance(path: str) -> tuple[CongestionGame, Optional[dict]]:
 
 
 def write_state(choices, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        dump_json({"state": list(int(c) for c in choices)}, fp)
+    write_json({"state": list(int(c) for c in choices)}, path)
 
 
 def read_state(path: str) -> list[int]:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,62 @@ class TestMalformedInput:
         st.write_text(json.dumps({"state": [1.0, 0]}))
         assert run(["verify", str(game_file), str(st)]) == 0
         assert "rho_star=1" in capsys.readouterr().out
+
+
+class TestEmptyAndOversizedInput:
+    """Empty player lists and values beyond Python's 4300-digit integer string
+    limit exit 2 promptly and leave no output file behind."""
+
+    def write_doc(self, tmp_path, coeffs, players):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "mode": "standard",
+            "resources": [{"coeffs": c} for c in coeffs],
+            "players": [{"strategies": s} for s in players],
+        }))
+        return path
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "audit", "brute"])
+    def test_no_players_exit_2(self, tmp_path, capsys, command):
+        path = self.write_doc(tmp_path, [["1"]], [])
+        argv = [command, str(path)]
+        if command == "verify":
+            st = tmp_path / "s.json"
+            st.write_text('{"state": []}')
+            argv.append(str(st))
+        assert run(argv) == 2
+        assert "at least one player" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeff", ["1e4000000", "1e-4000000"])
+    def test_huge_exponent_exit_2_quickly(self, tmp_path, capsys, coeff):
+        path = self.write_doc(tmp_path, [[coeff]], [[[0]], [[0]]])
+        start = time.perf_counter()
+        assert run(["solve", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "4300-digit limit" in capsys.readouterr().err
+
+    def test_solve_trace_beyond_digit_limit(self, tmp_path, capsys):
+        big = "9" * 4300
+        path = self.write_doc(
+            tmp_path, [["0", big], ["0", big]], [[[0], [1]]] * 8
+        )
+        trace = tmp_path / "t.json"
+        assert run(["solve", str(path), "--trace", str(trace)]) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_flip_gen_beyond_digit_limit(self, tmp_path, capsys):
+        # M^5 = alpha^100 for a one-gate circuit: over 4300 digits here
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(
+            flip_instance_to_dict(FlipInstance(1, [(("x", 0), ("x", 0))], [0]))
+        ))
+        out, bundle = tmp_path / "game.json", tmp_path / "bundle.json"
+        argv = ["flip-gen", str(circ), "--alpha", str(10**50),
+                "--out", str(out), "--bundle-out", str(bundle)]
+        assert run(argv) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        assert not out.exists() and not bundle.exists()
 
 
 class TestAudit:

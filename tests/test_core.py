@@ -14,7 +14,6 @@ from congames import (
     ValidationError,
     aggregate_metrics,
     deviation_cost,
-    eval_latency,
     generate,
     load_profile,
     player_cost,
@@ -50,21 +49,21 @@ def random_game(seed, n=4, degree=1):
 
 class TestEvalLatency:
     def test_identity_polynomial(self):
-        assert eval_latency(LatencyFunction([0, 1]), 2) == 2
+        assert LatencyFunction([0, 1]).eval(2) == 2
 
     def test_quadratic_by_hand(self):
         # 1 + 2x + 3x^2 at x=2: 1 + 4 + 12
-        assert eval_latency(LatencyFunction([1, 2, 3]), 2) == 17
+        assert LatencyFunction([1, 2, 3]).eval(2) == 17
 
     def test_hardness_pair_zero_at_one(self):
         f = LatencyFunction([-M2, M2])  # value pair 0 / M^2
-        assert eval_latency(f, 1) == 0
-        assert eval_latency(f, 2) == M2
+        assert f.eval(1) == 0
+        assert f.eval(2) == M2
 
     @pytest.mark.parametrize("load", [0, -1, -7])
     def test_invalid_load(self, load):
         with pytest.raises(ValidationError):
-            eval_latency(LatencyFunction([1]), load)
+            LatencyFunction([1]).eval(load)
 
     def test_fractional_coefficients_exact(self):
         f = LatencyFunction([F(1, 3), F(2, 7)])

@@ -3,9 +3,11 @@
 Each case pairs an instance file under `tests/fixtures/` with the trace JSON
 it produced when the fixture was recorded.  The instances are a d=1 random
 game, a d=2 game with fractional coefficients (solved with theta 3), and a
-three-tier game whose solve runs moves in two phases.  Rewrite the traces
-with `PYTHONPATH=src python tests/test_golden.py`, and only for an intended
-change of trace output.
+three-tier game whose solve runs moves in two phases.  The flip cases pair
+a circuit file with the game and bundle JSON that `congames flip-gen` wrote
+for it: y = x1 AND x2, and a one-input circuit with two outputs.  Rewrite
+the fixtures with `PYTHONPATH=src python tests/test_golden.py`, and only for
+an intended change of output.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from congames import SolverConfig, epsilon_br_dynamics, solve
+from congames.cli import main
 from congames.serialize import read_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,6 +61,24 @@ def test_trace_bytes_unchanged(name):
     assert run_case(name).to_json().encode("utf-8") == recorded
 
 
+FLIP_CASES = ("flip_and_xy", "flip_two_outputs")
+
+
+def flip_gen(name, out_dir):
+    """Run flip-gen on a fixture circuit; return the game and bundle paths."""
+    game, bundle = out_dir / f"{name}.game.json", out_dir / f"{name}.bundle.json"
+    circuit = str(FIXTURES / f"{name}.circuit.json")
+    code = main(["flip-gen", circuit, "--out", str(game), "--bundle-out", str(bundle)])
+    assert code == 0
+    return game, bundle
+
+
+@pytest.mark.parametrize("name", FLIP_CASES)
+def test_flip_gen_bytes_unchanged(name, tmp_path):
+    for path in flip_gen(name, tmp_path):
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
+
+
 @pytest.mark.parametrize("scheduler", ["scan", "random"])
 def test_tiered_case_has_several_phases(scheduler):
     trace = run_case(f"tiered.solve_{scheduler}.trace.json")
@@ -68,3 +89,5 @@ def test_tiered_case_has_several_phases(scheduler):
 if __name__ == "__main__":
     for name in CASES:
         (FIXTURES / name).write_text(run_case(name).to_json(), encoding="utf-8")
+    for name in FLIP_CASES:
+        flip_gen(name, FIXTURES)

@@ -21,7 +21,6 @@ from congames.hardness import (
     FlipInstance,
     GadgetParams,
     GUARD_VARIANTS,
-    LatencyPair,
     build_flip_game,
     bundle_from_dict,
     bundle_to_dict,
@@ -35,6 +34,7 @@ from congames.hardness import (
     positivize,
     read_input_bits,
     structural_check,
+    _GameAssembler,
 )
 from congames.verify import enumerate_equilibria, sample_state
 
@@ -124,22 +124,25 @@ class TestFlipLocalMin:
 class TestPairToLinear:
     def test_zero_big_pair(self):
         big = 2**30
-        f = pair_to_linear(LatencyPair(0, big))
+        f = pair_to_linear(0, big)
         assert (f.eval(1), f.eval(2)) == (0, big)
         assert f.coeffs == (-big, big)
 
     def test_alpha_cubed_pair(self):
         a = 3
-        f = pair_to_linear(LatencyPair(a, a**3))
+        f = pair_to_linear(a, a**3)
         assert (f.eval(1), f.eval(2)) == (a, a**3)
 
     def test_constant_pair(self):
-        f = pair_to_linear(LatencyPair(7, 7))
+        f = pair_to_linear(7, 7)
         assert f.eval(1) == f.eval(2) == f.eval(5) == 7
 
     def test_negative_values_rejected(self):
+        # the game, not the pair, checks values at every reachable load
         with pytest.raises(ValidationError):
-            LatencyPair(-1, 2)
+            CongestionGame(
+                [pair_to_linear(-1, 2)], [[[0]], [[0]]], mode="hardness"
+            )
 
 
 class TestGadgetParams:
@@ -243,6 +246,12 @@ class TestBuildFlipGame:
         report = structural_check(g)
         assert not report.passed
         assert report.sharing_offenders[0]["players"] == [0, 1, 2]
+
+    def test_assembler_rejects_redefined_resource(self):
+        asm = _GameAssembler()
+        assert asm.resource("R", 3, None) == asm.resource("R", 3, 3) == 0
+        with pytest.raises(ValidationError, match="redefined"):
+            asm.resource("R", 3, 4)
 
     def test_empty_game_vacuous_pass(self):
         assert structural_check(CongestionGame([], [])).passed

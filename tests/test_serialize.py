@@ -30,6 +30,25 @@ def test_parse_decimal_and_int_forms():
     assert parse_rational("-2") == F(-2)
 
 
+@pytest.mark.parametrize(
+    "text, value", [("1e3", F(1000)), ("2.5e-1", F(1, 4)), ("1e4300", F(10**4300))]
+)
+def test_parse_exponents_within_digit_limit(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "1e4000000", "1E+4_000_000"])
+def test_parse_rejects_exponent_beyond_digit_limit(text):
+    with pytest.raises(ValidationError, match="4300-digit limit"):
+        parse_rational(text)
+
+
+def test_format_rejects_value_beyond_digit_limit():
+    with pytest.raises(ValidationError, match="more than 4300 digits"):
+        format_rational(F(10**4300))
+    assert format_rational(F(1, 10**4299)) == "1/1" + "0" * 4299
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValidationError):
         parse_rational("seven")
@@ -75,6 +94,20 @@ def test_malformed_document():
         game_from_dict({"mode": "standard"})
 
 
+def test_document_without_players_rejected():
+    doc = {"mode": "standard", "resources": [{"coeffs": ["1"]}], "players": []}
+    with pytest.raises(ValidationError, match="at least one player"):
+        game_from_dict(doc)
+
+
+def test_write_instance_beyond_digit_limit_leaves_no_file(tmp_path):
+    game = CongestionGame([[10**4300]], [[[0]]])
+    path = tmp_path / "inst.json"
+    with pytest.raises(ValidationError, match="4300 digits"):
+        write_instance(game, str(path))
+    assert not path.exists()
+
+
 def test_game_to_dict_uses_strings():
     game = CongestionGame([[F(1, 3)]], [[[0]]])
     doc = game_to_dict(game)
@@ -94,7 +127,11 @@ def test_state_file_rejects_other_documents(tmp_path):
         read_state(str(path))
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"])
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    b"\xff\xfe{}",
+    pytest.param(b"[" + b"1" * 4301 + b"]", id="4301-digit-int"),
+])
 def test_unreadable_json_rejected(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
