@@ -9,7 +9,6 @@ from congames import (
     brute_min_potential,
     enumerate_equilibria,
     generate,
-    rosenthal_potential,
 )
 
 game = generate(
@@ -33,7 +32,7 @@ print("minimum potential:", phi_min, "at", opt_state.choices)
 exact = enumerate_equilibria(game, rho=1)
 print(f"{len(exact)} exact equilibria:")
 for s in exact:
-    phi = rosenthal_potential(game, s)
+    phi = game.potential(s)
     print(f"  {s.choices} potential {phi}  (ratio to optimum: {phi/phi_min})")
 loose = enumerate_equilibria(game, rho=F(3, 2))
 print(f"{len(loose)} states are 3/2-approximate equilibria")

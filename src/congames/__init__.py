@@ -13,10 +13,7 @@ from .core import (
     State,
     SubgameView,
     aggregate_metrics,
-    deviation_cost,
     load_profile,
-    player_cost,
-    rosenthal_potential,
     to_fraction,
 )
 from .dynamics import (
@@ -96,7 +93,6 @@ __all__ = [
     "brute_min_potential",
     "build_flip_game",
     "derive_subcircuits",
-    "deviation_cost",
     "enumerate_equilibria",
     "epsilon_br_dynamics",
     "find_threshold_move",
@@ -109,9 +105,7 @@ __all__ = [
     "pair_to_linear",
     "parameters",
     "partition_blocks",
-    "player_cost",
     "positivize",
-    "rosenthal_potential",
     "solve",
     "structural_check",
     "theta",

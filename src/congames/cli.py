@@ -169,6 +169,14 @@ def cmd_flip_gen(args) -> int:
     params = hardness.GadgetParams.for_bundle(
         bundle, rho=to_fraction(args.rho), alpha=args.alpha
     )
+    # M^5, the largest value the builder writes, decides up front whether
+    # the game fits in JSON; the limit is 0 where there is none.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and params.big_m**5 >= 10**limit:
+        raise ValidationError(
+            f"the game's largest value, M^5, has more than {limit} digits, "
+            "the limit of sys.set_int_max_str_digits"
+        )
     game, labels = hardness.build_flip_game(bundle, params)
     report = hardness.structural_check(game)
     serialize.write_instance(game, args.out, labels=labels)

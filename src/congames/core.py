@@ -22,6 +22,11 @@ supported:
   the circuit-to-game builders; values must still be non-negative at every
   feasible integer load, and are required to be integers.
 
+Costs, potentials and `cost_sums` are methods of `CongestionGame`, the one
+game type the dynamics and the solver take.  `SubgameView` freezes the
+players outside an active set; `verify.audit_identities` compares its costs
+and potential against the full game's.
+
 Games, states, and subgame views are immutable; every operation here is a
 pure function of its arguments.  A game's user sets and value table are
 built on first use and cached on the game.
@@ -277,8 +282,10 @@ class CongestionGame:
         Entry state.choices[u] is u's current cost.  The entries are sums of
         table values: ints when the latencies are integral at these loads.
         """
-        strats, choice = self.players[u], state.choices[u]
-        return _move_sums(self.latency_table, state.loads, strats, choice)
+        strats = self.players[u]
+        current = strats[state.choices[u]]
+        table, loads = self.latency_table, state.loads
+        return [_move_sum(table, loads, current, strat) for strat in strats]
 
     def potential(self, state: "State") -> Fraction:
         """Rosenthal potential: sum over resources of cumulative latencies."""
@@ -357,10 +364,6 @@ class SubgameView:
                 t[e] += 1
         return cls(game, active_set, tuple(t))
 
-    @property
-    def n_players(self) -> int:
-        return self.game.n_players
-
     def _loads(self, state: State) -> list[int]:
         """Loads the view sees: frozen offsets plus the active players at `state`."""
         loads = list(self.frozen_loads)
@@ -388,13 +391,6 @@ class SubgameView:
         table = self.game.latency_table
         return Fraction(_move_sum(table, self._loads(state), current, strats[alt]))
 
-    def cost_sums(self, state: State, u: int) -> list[Value]:
-        """As `CongestionGame.cost_sums`, with the loads computed once."""
-        self._require_active(u)
-        strats, choice = self.game.players[u], state.choices[u]
-        table = self.game.latency_table
-        return _move_sums(table, self._loads(state), strats, choice)
-
     def potential(self, state: State) -> Fraction:
         """Potential of the subgame: modified latencies, active loads only."""
         cols = zip(self.game.latency_table, self.frozen_loads, self._loads(state))
@@ -414,19 +410,6 @@ def _move_sum(
     return total
 
 
-def _move_sums(
-    table: Sequence[Sequence[Value]],
-    loads: Sequence[int],
-    strats: tuple[tuple[int, ...], ...],
-    choice: int,
-) -> list[Value]:
-    current = strats[choice]
-    return [_move_sum(table, loads, current, strat) for strat in strats]
-
-
-GameLike = Union[CongestionGame, SubgameView]
-
-
 def load_profile(game: CongestionGame, state: State) -> tuple[int, ...]:
     """Per-resource player counts, recomputed from scratch.
 
@@ -438,18 +421,6 @@ def load_profile(game: CongestionGame, state: State) -> tuple[int, ...]:
         for e in game.players[u][c]:
             loads[e] += 1
     return tuple(loads)
-
-
-def player_cost(game: GameLike, state: State, u: int) -> Fraction:
-    return game.player_cost(state, u)
-
-
-def deviation_cost(game: GameLike, state: State, u: int, alt: int) -> Fraction:
-    return game.deviation_cost(state, u, alt)
-
-
-def rosenthal_potential(game: GameLike, state: State) -> Fraction:
-    return game.potential(state)
 
 
 def aggregate_metrics(

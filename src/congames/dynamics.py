@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Optional
 
-from .core import CongestionGame, GameLike, State, to_fraction
+from .core import CongestionGame, State, to_fraction
 from .errors import ValidationError
-from .serialize import format_rational, json_text
+from .serialize import format_rational, json_text, write_json
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ class RunTrace:
         return json_text(self.to_dict())
 
     def write_json(self, path: str) -> None:
-        text = self.to_json()  # before opening: a failed conversion leaves no file
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        write_json(self.to_dict(), path)
 
     def write_csv(self, fp: IO[str]) -> None:
         writer = csv.writer(fp, lineterminator="\n")
@@ -127,7 +125,7 @@ def optimistic_cost(game: CongestionGame, u: int) -> tuple[Fraction, int]:
     return Fraction(best_cost), costs.index(best_cost)
 
 
-def best_response(game: GameLike, state: State, u: int) -> tuple[int, Fraction]:
+def best_response(game: CongestionGame, state: State, u: int) -> tuple[int, Fraction]:
     """Globally cheapest deviation for u, ties broken by lowest index.
 
     The current strategy participates in the minimum, so the returned cost is
@@ -140,7 +138,7 @@ def best_response(game: GameLike, state: State, u: int) -> tuple[int, Fraction]:
 
 
 def find_threshold_move(
-    game: GameLike, state: State, u: int, q: Fraction
+    game: CongestionGame, state: State, u: int, q: Fraction
 ) -> Optional[tuple[int, Fraction]]:
     """Best response of u if it improves on the current cost by more than q.
 

@@ -575,54 +575,41 @@ def build_flip_game(
     n, m = bundle.n_inputs, bundle.n_outputs
     alpha, beta, gamma, M = params.alpha, params.beta, params.gamma, params.big_m
 
-    def comp_tag(key: CompKey) -> str:
-        return f"{key[0]},{key[1]},{key[2]}"
+    # Global gate ids: main circuit first, then comparisons in key order;
+    # gate `local` of the circuit under `key` is gate offset[key] + local.
+    circuits = [("main", bundle.main)] + [
+        (key, comp)
+        for key, comp in sorted(bundle.comparisons.items())
+        if isinstance(comp, CircuitGraph)
+    ]
+    k_total = bundle.total_gates()
+    main_gate_ids = range(len(bundle.main.gates))
+    comp_gate_ids = range(len(bundle.main.gates), k_total)
 
-    # Global gate table: main circuit first, then comparisons in key order.
-    circuits: list[tuple[str, CircuitGraph]] = [("main", bundle.main)]
-    for key in sorted(bundle.comparisons):
-        comp = bundle.comparisons[key]
-        if isinstance(comp, CircuitGraph):
-            circuits.append((comp_tag(key), comp))
-
-    gate_circuit: list[str] = []  # per global gate: circuit tag
-    gate_info: list[BundleGate] = []
-    local_to_global: dict[tuple[str, int], int] = {}
-    for tag, graph in circuits:
-        for local, gate in enumerate(graph.gates):
-            local_to_global[(tag, local)] = len(gate_info)
-            gate_circuit.append(tag)
-            gate_info.append(gate)
-    k_total = len(gate_info)
-    main_gate_ids = [local_to_global[("main", k)] for k in range(len(bundle.main.gates))]
-    comp_gate_ids = [k for k in range(k_total) if gate_circuit[k] != "main"]
-
-    def glabel(k: int) -> str:
-        return str(k + 1)
-
-    # Resolve every gate input to a provider label used in resource names.
-    x_label = [f"X_{i + 1}" for i in range(n)]
-    y_label = [f"Y_{j + 1}" for j in range(m)]
-    g_label = [f"G_{glabel(k)}" for k in range(k_total)]
-
-    providers: list[tuple[tuple[str, int], tuple[str, int]]] = []
-    readers: dict[str, list[list[tuple[int, str]]]] = {
-        "x": [[] for _ in range(n)],
-        "y": [[] for _ in range(m)],
-        "g": [[] for _ in range(k_total)],
+    # Resolve every gate input to a global (kind, idx); label[kind][idx]
+    # names that provider in resource names.
+    label = {
+        "x": [f"X_{i + 1}" for i in range(n)],
+        "y": [f"Y_{j + 1}" for j in range(m)],
+        "g": [f"G_{k + 1}" for k in range(k_total)],
     }
-    for k, gate in enumerate(gate_info):
-        resolved = []
-        for slot, (kind, idx) in (("a", gate.a), ("b", gate.b)):
-            if kind == "g":
-                idx = local_to_global[(gate_circuit[k], idx)]
-            readers[kind][idx].append((k, slot))
-            resolved.append((kind, idx))
-        providers.append((resolved[0], resolved[1]))
-
-    def provider_label(ref: tuple[str, int]) -> str:
-        kind, idx = ref
-        return {"x": x_label, "y": y_label, "g": g_label}[kind][idx]
+    readers: dict[str, list[list[tuple[int, str]]]] = {
+        kind: [[] for _ in names] for kind, names in label.items()
+    }
+    offset: dict[Union[str, CompKey], int] = {}
+    gate_info: list[BundleGate] = []
+    providers: list[list[tuple[str, int]]] = []
+    for key, graph in circuits:
+        offset[key] = len(gate_info)
+        for gate in graph.gates:
+            resolved = []
+            for slot, (kind, idx) in (("a", gate.a), ("b", gate.b)):
+                if kind == "g":
+                    idx += offset[key]
+                readers[kind][idx].append((len(gate_info), slot))
+                resolved.append((kind, idx))
+            providers.append(resolved)
+            gate_info.append(gate)
 
     asm = _GameAssembler()
 
@@ -633,21 +620,21 @@ def build_flip_game(
     # the value their inputs dictate.
     def bit(value: int, slot: str, k: int) -> int:
         return asm.resource(
-            f"Bit{value}{slot}_{glabel(k)}", 0, alpha ** (2 * (k_total - k))
+            f"Bit{value}{slot}_{k + 1}", 0, alpha ** (2 * (k_total - k))
         )
 
     def lock_copy(value: int, slot: str, k: int, owner: str) -> int:
-        return asm.resource(f"Lock{value}{slot}_{glabel(k)}({owner})", 0, M**3)
+        return asm.resource(f"Lock{value}{slot}_{k + 1}({owner})", 0, M**3)
 
     def lock_gate(k: int, owner: str) -> int:
         pair = M**2 if owner == "Controller" else M
-        return asm.resource(f"LockGate_{glabel(k)}({owner})", 0, pair)
+        return asm.resource(f"LockGate_{k + 1}({owner})", 0, pair)
 
     def trigger_lock(k: int, owner: str) -> int:
-        return asm.resource(f"TriggerLockG_{glabel(k)}({owner})", 0, alpha**2)
+        return asm.resource(f"TriggerLockG_{k + 1}({owner})", 0, alpha**2)
 
     def trigger_unlock(k: int) -> int:
-        return asm.resource(f"TriggerUnlockG_{glabel(k)}", alpha, alpha**3)
+        return asm.resource(f"TriggerUnlockG_{k + 1}", alpha, alpha**3)
 
     def value_rows(ref_kind: str, idx: int, value: int, owner: str) -> list[int]:
         rows = []
@@ -682,9 +669,8 @@ def build_flip_game(
         rows.append(asm.resource(f"BlockY_{j + 1}", 0, M**2))
         comp = bundle.comparisons[key]
         if isinstance(comp, CircuitGraph):
-            tag = comp_tag(key)
             rows += [
-                lock_gate(local_to_global[(tag, loc)], "Controller")
+                lock_gate(offset[key] + loc, "Controller")
                 for loc in range(len(comp.gates))
             ]
         asm.strategy(controller, f"LockS[{j + 1},{i + 1},{b}]", rows)
@@ -705,9 +691,9 @@ def build_flip_game(
     # Gate players ----------------------------------------------------------
     gate_player: list[int] = []
     for k in range(k_total):
-        p = asm.player(g_label[k])
+        own = label["g"][k]
+        p = asm.player(own)
         gate_player.append(p)
-        own = g_label[k]
         asm.strategy(
             p,
             "OneA",
@@ -735,10 +721,10 @@ def build_flip_game(
     # Lock players -----------------------------------------------------------
     lock_player: list[int] = []
     for k in range(k_total):
-        p = asm.player(f"LockG_{glabel(k)}")
+        p = asm.player(f"LockG_{k + 1}")
         lock_player.append(p)
         ref_a, ref_b = providers[k]
-        own = g_label[k]
+        own = label["g"][k]
         for variant in ALL_VARIANTS:
             if variant not in gate_info[k].variants:
                 continue
@@ -746,23 +732,23 @@ def build_flip_game(
             rows = [trigger_unlock(k)]
             rows.append(lock_copy(1 - vo, "a", k, own))
             rows.append(lock_copy(1 - vo, "b", k, own))
-            rows.append(lock_copy(1 - va, "a", k, provider_label(ref_a)))
-            rows.append(lock_copy(1 - vb, "b", k, provider_label(ref_b)))
+            rows.append(lock_copy(1 - va, "a", k, label[ref_a[0]][ref_a[1]]))
+            rows.append(lock_copy(1 - vb, "b", k, label[ref_b[0]][ref_b[1]]))
             for ref in (ref_a, ref_b):
                 if ref[0] == "g":
-                    rows.append(lock_gate(ref[1], f"LockG_{glabel(k)}"))
+                    rows.append(lock_gate(ref[1], f"LockG_{k + 1}"))
             asm.strategy(p, f"Lock{variant}", rows)
         rows = [lock_gate(k, "Controller"), trigger_lock(k, "Controller")]
         if k in main_gate_ids:
             rows += [trigger_lock(k, f"Y_{j + 1}") for j in range(m)]
         for r, _slot in readers["g"][k]:
-            rows.append(lock_gate(k, f"LockG_{glabel(r)}"))
+            rows.append(lock_gate(k, f"LockG_{r + 1}"))
         asm.strategy(p, "Unlock", rows)
 
     # Input players -----------------------------------------------------------
     x_player: list[int] = []
     for i in range(n):
-        p = asm.player(x_label[i])
+        p = asm.player(label["x"][i])
         x_player.append(p)
         for value, strat_label in ((1, "One"), (0, "Zero")):
             rows = [
@@ -775,7 +761,7 @@ def build_flip_game(
                 asm.resource(f"BlockX_{i + 1},{value}(Y_{j + 1})", 0, M**4)
                 for j in range(m)
             ]
-            rows += value_rows("x", i, value, x_label[i])
+            rows += value_rows("x", i, value, label["x"][i])
             asm.strategy(p, strat_label, rows)
 
     # Output players ----------------------------------------------------------
@@ -792,11 +778,11 @@ def build_flip_game(
         return rows
 
     for j in range(m):
-        p = asm.player(y_label[j])
+        p = asm.player(label["y"][j])
         y_player.append(p)
         scale = gamma ** (j + 1)
         one_rows = [asm.resource(f"One_{j + 1}", 4 * alpha**4 * scale, None)]
-        one_rows += value_rows("y", j, 1, y_label[j])
+        one_rows += value_rows("y", j, 1, label["y"][j])
         asm.strategy(p, "One", one_rows)
 
         for i in range(n):
@@ -819,7 +805,7 @@ def build_flip_game(
                     for j2 in range(j)
                 ]
                 rows += [block_s(key, j) for key in present if key != (j, i, b)]
-                rows += value_rows("y", j, 1, y_label[j])
+                rows += value_rows("y", j, 1, label["y"][j])
                 asm.strategy(p, f"Change[{j + 1},{i + 1},{b}]", rows)
 
         for i in range(n):
@@ -838,7 +824,7 @@ def build_flip_game(
                     for j2 in range(j)
                 ]
                 rows += [block_s(key, j) for key in present if key != (j, i, b)]
-                rows += value_rows("y", j, 0, y_label[j])
+                rows += value_rows("y", j, 0, label["y"][j])
                 rows += [trigger_lock(k, f"Y_{j + 1}") for k in main_gate_ids]
                 asm.strategy(p, f"Check[{j + 1},{i + 1},{b}]", rows)
 
@@ -849,7 +835,7 @@ def build_flip_game(
         ]
         rows.append(asm.resource(f"BlockY_{j + 1}", 0, M**2))
         rows.append(asm.resource(f"ResetDoneY_{j + 1}", 0, M**5))
-        rows += value_rows("y", j, 0, y_label[j])
+        rows += value_rows("y", j, 0, label["y"][j])
         asm.strategy(p, "Zero", rows)
 
     resources = [pair_to_linear(a, b) for a, b in asm.resource_pairs]

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,6 @@ from congames import (
     brute_min_potential,
     enumerate_equilibria,
     generate,
-    player_cost,
-    rosenthal_potential,
     solve,
 )
 from congames import cli
@@ -38,8 +37,11 @@ from congames.hardness import (
     read_input_bits,
     structural_check,
 )
+from congames.serialize import read_instance
 from congames.solver import move_bound
 from congames.verify import sample_state
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def report(criterion, ok, details):
@@ -80,10 +82,27 @@ def solver_runs():
     return runs, elapsed
 
 
-def test_criterion_1_guarantee_reproduction(solver_runs):
+@pytest.fixture(scope="module")
+def tiered_runs():
+    """The three-tier fixture game (n=15, m=3) under both schedulers.
+
+    The random corpus has one non-empty block; here every run moves in
+    phases 1 and 2.
+    """
+    game, _ = read_instance(str(FIXTURES / "tiered.json"))
+    runs = []
+    for scheduler, seed in [("scan", None)] + [("random", s) for s in range(8)]:
+        trace = solve(game, SolverConfig(psi=1, scheduler=scheduler, seed=seed))
+        assert trace.parameters["m"] == 3
+        assert {m.phase for m in trace.moves} == {1, 2}
+        runs.append((game.n_players, seed, game, trace))
+    return runs
+
+
+def test_criterion_1_guarantee_reproduction(solver_runs, tiered_runs):
     runs, elapsed = solver_runs
     failures = []
-    for n, seed, game, trace in runs:
+    for n, seed, game, trace in runs + tiered_runs:
         final = game.state(trace.final_state)
         rep = approximation_factor(game, final)
         bound = F(trace.parameters["bound"])
@@ -93,17 +112,18 @@ def test_criterion_1_guarantee_reproduction(solver_runs):
     report(
         "1 guarantee-reproduction",
         ok,
-        f"200 runs, rho* <= p(1+4/n^psi) on all, {elapsed:.1f}s"
+        f"200 runs + {len(tiered_runs)} tiered, rho* <= p(1+4/n^psi) on all, "
+        f"{elapsed:.1f}s"
         + (f"; failures={failures[:3]}" if failures else ""),
     )
 
 
-def test_criterion_2_move_bound(solver_runs):
+def test_criterion_2_move_bound(solver_runs, tiered_runs):
     runs, _ = solver_runs
     worst_margin = None
     violations = 0
-    for n, seed, game, trace in runs:
-        bound = move_bound(n, 1, 1)
+    for n, seed, game, trace in runs + tiered_runs:
+        bound = move_bound(n, trace.parameters["d"], trace.parameters["psi"])
         if trace.n_moves > bound:
             violations += 1
         margin = F(trace.n_moves, bound)
@@ -112,7 +132,8 @@ def test_criterion_2_move_bound(solver_runs):
     report(
         "2 move-bound",
         violations == 0,
-        f"max observed moves/bound = {float(worst_margin):.2e} across 200 runs",
+        f"max observed moves/bound = {float(worst_margin):.2e} across 200 runs "
+        f"+ {len(tiered_runs)} tiered",
     )
 
 
@@ -139,8 +160,8 @@ def test_criterion_3_rosenthal_identity():
         u = rng.randrange(game.n_players)
         alt = rng.randrange(len(game.players[u]))
         moved = state.apply(game, u, alt)
-        dphi = rosenthal_potential(game, moved) - rosenthal_potential(game, state)
-        dcost = player_cost(game, moved, u) - player_cost(game, state, u)
+        dphi = game.potential(moved) - game.potential(state)
+        dcost = game.player_cost(moved, u) - game.player_cost(state, u)
         if dphi != dcost:
             violations += 1
     report(
@@ -202,7 +223,7 @@ def test_criterion_5_potential_ratio():
         games_checked += 1
         for s in enumerate_equilibria(game, rho=1):
             equilibria_checked += 1
-            phi = rosenthal_potential(game, s)
+            phi = game.potential(s)
             if phi > 2 * phi_min:
                 theorem_violations += 1
             if phi_min > 0 and phi / phi_min > best:
@@ -216,10 +237,10 @@ def test_criterion_5_potential_ratio():
     )
 
 
-def test_criterion_6_phase_discipline(solver_runs):
+def test_criterion_6_phase_discipline(solver_runs, tiered_runs):
     runs, _ = solver_runs
     violations = 0
-    for n, seed, game, trace in runs:
+    for n, seed, game, trace in runs + tiered_runs:
         blocks = trace.parameters["block_of"]
         p = F(trace.parameters["p"])
         q = F(trace.parameters["q"])
@@ -230,10 +251,10 @@ def test_criterion_6_phase_discipline(solver_runs):
             threshold = p if blocks[m.player] == m.phase else q
             if not (m.cost_after * threshold < m.cost_before):
                 violations += 1
-            if player_cost(game, state, m.player) != m.cost_before:
+            if game.player_cost(state, m.player) != m.cost_before:
                 violations += 1
             state = state.apply(game, m.player, m.to_strategy)
-            if player_cost(game, state, m.player) != m.cost_after:
+            if game.player_cost(state, m.player) != m.cost_after:
                 violations += 1
         if state.choices != trace.final_state:
             violations += 1
@@ -241,7 +262,7 @@ def test_criterion_6_phase_discipline(solver_runs):
         "6 phase-discipline",
         violations == 0,
         f"every move within its block's phase window, strict thresholds, "
-        f"{violations} violations over 200 traces",
+        f"{violations} violations over 200 + {len(tiered_runs)} tiered traces",
     )
 
 
@@ -370,7 +391,7 @@ def test_criterion_9_degree_two_path():
                 _, phi_min = brute_min_potential(game)
                 if phi_min > 0:
                     for s in enumerate_equilibria(game, rho=F(trace.parameters["q"])):
-                        ratio = rosenthal_potential(game, s) / phi_min
+                        ratio = game.potential(s) / phi_min
                         max_condition = max(max_condition, ratio)
     ok = failures == 0 and runs == 50 and max_condition <= override
     report(

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import sys
 import time
 
 import pytest
 
-from congames import cli
+from congames import cli, hardness
 from congames.hardness import flip_instance_to_dict, FlipInstance
 from congames.serialize import read_instance, write_instance, write_state
 from congames import CongestionGame
@@ -253,6 +254,40 @@ class TestEmptyAndOversizedInput:
         assert run(argv) == 2
         assert "more than 4300 digits" in capsys.readouterr().err
         assert not out.exists() and not bundle.exists()
+
+    def test_flip_gen_digit_limit_checked_before_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def build_flip_game(*args):
+            raise AssertionError("the game was built")
+
+        monkeypatch.setattr(hardness, "build_flip_game", build_flip_game)
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(
+            flip_instance_to_dict(FlipInstance(1, [(("x", 0), ("x", 0))], [0]))
+        ))
+        out = tmp_path / "game.json"
+        argv = ["flip-gen", str(circ), "--alpha", str(10**50), "--out", str(out)]
+        assert run(argv) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit"
+    )
+    def test_flip_gen_without_digit_limit(self, tmp_path):
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(
+            flip_instance_to_dict(FlipInstance(1, [(("x", 0), ("x", 0))], [0]))
+        ))
+        out = tmp_path / "game.json"
+        argv = ["flip-gen", str(circ), "--alpha", str(10**50), "--out", str(out)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert run(argv) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.exists()
 
 
 class TestAudit:

@@ -13,11 +13,8 @@ from congames import (
     SubgameView,
     ValidationError,
     aggregate_metrics,
-    deviation_cost,
     generate,
     load_profile,
-    player_cost,
-    rosenthal_potential,
 )
 
 M2 = 2**40  # stands in for a squared big constant in hardness-style pairs
@@ -107,35 +104,35 @@ class TestLoadProfile:
 class TestPlayerCost:
     def test_shared_linear(self):
         g = shared_resource_game()
-        assert player_cost(g, g.state([0, 0]), 0) == 2
+        assert g.player_cost(g.state([0, 0]), 0) == 2
 
     def test_two_resources(self):
         g = two_resource_game()
-        assert player_cost(g, g.state([0, 0]), 1) == 4
+        assert g.player_cost(g.state([0, 0]), 1) == 4
 
     def test_hardness_pair_alone_is_zero(self):
         g = CongestionGame([[-M2, M2]], [[[0]], [[0]], [[0]]], mode="hardness")
         alone = CongestionGame([[-M2, M2]], [[[0]]], mode="hardness")
-        assert player_cost(alone, alone.state([0]), 0) == 0
-        assert player_cost(g, g.state([0, 0, 0]), 0) == 2 * M2
+        assert alone.player_cost(alone.state([0]), 0) == 0
+        assert g.player_cost(g.state([0, 0, 0]), 0) == 2 * M2
 
 
 class TestDeviationCost:
     def test_noop_deviation(self):
         g = two_resource_game()
         s = g.state([0, 0])
-        assert deviation_cost(g, s, 1, 0) == player_cost(g, s, 1)
+        assert g.deviation_cost(s, 1, 0) == g.player_cost(s, 1)
 
     def test_move_to_empty_resource(self):
         # off a shared f(x)=x resource onto an empty f(x)=3x one
         g = CongestionGame([[0, 1], [0, 3]], [[[0], [1]], [[0]]])
         s = g.state([0, 0])
-        assert deviation_cost(g, s, 0, 1) == 3
+        assert g.deviation_cost(s, 0, 1) == 3
 
     def test_bad_index(self):
         g = shared_resource_game()
         with pytest.raises(ValidationError):
-            deviation_cost(g, g.state([0, 0]), 0, 5)
+            g.deviation_cost(g.state([0, 0]), 0, 5)
 
     def test_incremental_matches_full_recompute(self):
         rng = random.Random(42)
@@ -145,26 +142,26 @@ class TestDeviationCost:
             s = g.state([rng.randrange(len(p)) for p in g.players])
             u = rng.randrange(g.n_players)
             alt = rng.randrange(len(g.players[u]))
-            full = player_cost(g, s.apply(g, u, alt), u)
-            assert deviation_cost(g, s, u, alt) == full
+            full = g.player_cost(s.apply(g, u, alt), u)
+            assert g.deviation_cost(s, u, alt) == full
             checked += 1
 
 
 class TestRosenthalPotential:
     def test_two_on_one_resource(self):
         g = shared_resource_game()
-        assert rosenthal_potential(g, g.state([0, 0])) == 3
+        assert g.potential(g.state([0, 0])) == 3
 
     def test_two_resources(self):
         g = two_resource_game()
-        assert rosenthal_potential(g, g.state([0, 0])) == 5
+        assert g.potential(g.state([0, 0])) == 5
 
     def test_subgame_modified_latency(self):
         g = shared_resource_game()
         s = g.state([0, 0])
         view = SubgameView.freeze(g, s, [0])
         # one frozen player on the resource: f^F(x) = x + 1, one active user
-        assert rosenthal_potential(view, s) == 2
+        assert view.potential(s) == 2
 
     def test_move_identity_exact(self):
         rng = random.Random(7)
@@ -174,8 +171,8 @@ class TestRosenthalPotential:
             u = rng.randrange(g.n_players)
             alt = rng.randrange(len(g.players[u]))
             moved = s.apply(g, u, alt)
-            dphi = rosenthal_potential(g, moved) - rosenthal_potential(g, s)
-            dcost = player_cost(g, moved, u) - player_cost(g, s, u)
+            dphi = g.potential(moved) - g.potential(s)
+            dcost = g.player_cost(moved, u) - g.player_cost(s, u)
             assert dphi == dcost
 
     def test_move_identity_in_subgame(self):
@@ -230,8 +227,8 @@ class TestSubgameView:
                 continue
             view = SubgameView.freeze(g, s, active)
             u = rng.choice(active)
-            assert view.player_cost(s, u) == player_cost(g, s, u)
-            base = [deviation_cost(g, s, u, a) for a in range(len(g.players[u]))]
+            assert view.player_cost(s, u) == g.player_cost(s, u)
+            base = [g.deviation_cost(s, u, a) for a in range(len(g.players[u]))]
             sub = [view.deviation_cost(s, u, a) for a in range(len(g.players[u]))]
             assert base == sub
 
@@ -242,7 +239,7 @@ class TestSubgameView:
             s = g.state([rng.randrange(len(p)) for p in g.players])
             subset = frozenset(u for u in range(g.n_players) if rng.random() < 0.5)
             rest = frozenset(range(g.n_players)) - subset
-            phi = rosenthal_potential(g, s)
+            phi = g.potential(s)
             phi_f = SubgameView.freeze(g, s, subset).potential(s)
             phi_rest = SubgameView.freeze(g, s, rest).potential(s)
             assert phi <= phi_f + phi_rest
@@ -251,7 +248,7 @@ class TestSubgameView:
     def test_full_and_empty_subsets(self):
         g = two_resource_game()
         s = g.state([0, 0])
-        assert SubgameView.freeze(g, s, [0, 1]).potential(s) == rosenthal_potential(g, s)
+        assert SubgameView.freeze(g, s, [0, 1]).potential(s) == g.potential(s)
         assert SubgameView.freeze(g, s, []).potential(s) == 0
 
     def test_frozen_player_cost_rejected(self):
@@ -322,7 +319,7 @@ class TestValidation:
 
     def test_zero_latency_allowed(self):
         g = CongestionGame([[0, 0]], [[[0]], [[0]]])
-        assert player_cost(g, g.state([0, 0]), 0) == 0
+        assert g.player_cost(g.state([0, 0]), 0) == 0
 
     def test_state_length_mismatch(self):
         g = shared_resource_game()

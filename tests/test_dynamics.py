@@ -16,8 +16,6 @@ from congames import (
     find_threshold_move,
     generate,
     optimistic_cost,
-    player_cost,
-    rosenthal_potential,
 )
 from congames.verify import approximation_factor, enumerate_equilibria
 
@@ -125,7 +123,7 @@ class TestFindThresholdMove:
             u = rng.randrange(g.n_players)
             found = find_threshold_move(g, s, u, F(1))
             _, br_cost = best_response(g, s, u)
-            improvable = br_cost < player_cost(g, s, u)
+            improvable = br_cost < g.player_cost(s, u)
             assert (found is not None) == improvable
 
 
@@ -171,10 +169,10 @@ class TestEpsilonDynamics:
                     m.potential_after - m.potential_before
                     == m.cost_after - m.cost_before
                 )
-                assert rosenthal_potential(g, state) == m.potential_before
+                assert g.potential(state) == m.potential_before
                 state = state.apply(g, m.player, m.to_strategy)
             assert state.choices == trace.final_state
-            assert rosenthal_potential(g, state) == trace.final_potential
+            assert g.potential(state) == trace.final_potential
 
     def test_cap_sets_truncated_flag(self):
         g = CongestionGame([[0, 1], [0, 1]], [[[0], [1]], [[0], [1]]])

@@ -97,22 +97,23 @@ def test_game_costs_match_direct_evaluation(case):
     for u, strats in enumerate(game.players):
         mine = strats[state.choices[u]]
         assert exact(game.player_cost(state, u), direct_cost(game, loads, mine))
-        check_deviations(game, game, state, u)
+        expected = check_deviations(game, game, state, u)
+        sums = game.cost_sums(state, u)
+        assert sums == expected
+        if all(type(v) is int for col in game.latency_table for v in col):
+            assert all(type(c) is int for c in sums)
+        best = min(expected)
+        assert best_response(game, state, u) == (expected.index(best), best)
 
 
 def check_deviations(game, view, state, u):
-    """deviation_cost, cost_sums and best_response of `view` against moved states."""
+    """deviation_cost of `view` against moved states; returns the costs."""
     expected = []
     for alt, strat in enumerate(game.players[u]):
         moved = game.state([alt if v == u else c for v, c in enumerate(state.choices)])
         expected.append(direct_cost(game, load_profile(game, moved), strat))
         assert exact(view.deviation_cost(state, u, alt), expected[-1])
-    sums = view.cost_sums(state, u)
-    assert sums == expected
-    if all(type(v) is int for col in game.latency_table for v in col):
-        assert all(type(c) is int for c in sums)
-    best = min(expected)
-    assert best_response(view, state, u) == (expected.index(best), best)
+    return expected
 
 
 @settings(max_examples=300, deadline=None)

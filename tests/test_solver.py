@@ -17,7 +17,6 @@ from congames import (
     move_bound,
     parameters,
     partition_blocks,
-    rosenthal_potential,
     solve,
     theta,
 )
@@ -180,9 +179,9 @@ class TestSolve:
                 assert blk in (m.phase, m.phase + 1)
                 threshold = p if blk == m.phase else q
                 assert m.cost_after * threshold < m.cost_before
-                assert rosenthal_potential(g, state) == m.potential_before
+                assert g.potential(state) == m.potential_before
                 state = state.apply(g, m.player, m.to_strategy)
-                assert rosenthal_potential(g, state) == m.potential_after
+                assert g.potential(state) == m.potential_after
             assert state.choices == trace.final_state
 
     def test_no_player_moves_after_her_phase(self):

@@ -18,7 +18,6 @@ from congames import (
     brute_min_potential,
     enumerate_equilibria,
     generate,
-    rosenthal_potential,
 )
 from congames.verify import AuditReport, naive_state_scan, state_space_size
 
@@ -165,7 +164,7 @@ class TestBruteMinPotential:
             g = random_game(seed, n=3, strategies=2)
             state, phi = brute_min_potential(g)
             ranked = sorted(
-                (rosenthal_potential(g, g.state(c)), c)
+                (g.potential(g.state(c)), c)
                 for c in itertools.product(*[range(len(p)) for p in g.players])
             )
             assert phi == ranked[0][0]
@@ -272,4 +271,4 @@ class TestLinearPotentialRatio:
             g = random_game(seed, n=4, strategies=3)
             _, phi_min = brute_min_potential(g)
             for s in enumerate_equilibria(g, rho=1):
-                assert rosenthal_potential(g, s) <= 2 * phi_min
+                assert g.potential(s) <= 2 * phi_min
