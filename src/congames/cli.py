@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import generators, hardness, serialize, solver, verify
-from .core import CongestionGame, State, to_fraction
+from .core import CongestionGame, State, digit_limit, to_fraction
 from .dynamics import RunTrace
 from .errors import (
     BudgetExceededError,
@@ -169,10 +170,10 @@ def cmd_flip_gen(args) -> int:
     params = hardness.GadgetParams.for_bundle(
         bundle, rho=to_fraction(args.rho), alpha=args.alpha
     )
-    # M^5, the largest value the builder writes, decides up front whether
-    # the game fits in JSON; the limit is 0 where there is none.
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and params.big_m**5 >= 10**limit:
+    # The largest value the builder writes decides up front whether the
+    # game fits in JSON; the limit is 0 where there is none.
+    limit = digit_limit()
+    if limit and params.largest_value >= 10**limit:
         raise ValidationError(
             f"the game's largest value, M^5, has more than {limit} digits, "
             "the limit of sys.set_int_max_str_digits"
@@ -219,7 +220,9 @@ def _bench_one(task: tuple) -> dict:
         "rho_star": report.rho_star_str(),
         "bound": bound_str,
         "ok": str(ok).lower(),
-        "move_bound": solver.move_bound(n, max(1, game.degree), psi),
+        "move_bound": serialize.format_rational(
+            solver.move_bound(n, max(1, game.degree), psi)
+        ),
     }
 
 
@@ -266,10 +269,13 @@ def cmd_bench(args) -> int:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(t) for t in tasks]
+    # Write the text in full before opening, so a failure leaves no file.
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.DictWriter(fp, fieldnames=BENCH_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        fp.write(text.getvalue())
     bad = [r for r in rows if r["ok"] != "true"]
     print(f"wrote {args.out}: runs={len(rows)} failures={len(bad)}")
     return EXIT_OK if not bad else EXIT_CONTRACT

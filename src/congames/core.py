@@ -54,15 +54,22 @@ HARDNESS = "hardness"
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 
 
-def _check_exponent(text: str) -> None:
-    """Reject a decimal exponent beyond Python's integer string limit.
+def digit_limit() -> int:
+    """Python's integer string limit, `sys.get_int_max_str_digits()`.
 
-    The limit is `sys.get_int_max_str_digits()`: 4300 by default, 0 for
-    none (as on Pythons without it).  Unchecked, "1e4000000" would expand
-    into a 13-million-bit integer from nine characters.
+    4300 digits by default; 0 means no limit, as on Pythons without one.
+    """
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a decimal exponent beyond the `digit_limit`.
+
+    Unchecked, "1e4000000" would expand into a 13-million-bit integer from
+    nine characters.
     """
     match = _EXPONENT.search(text)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = digit_limit()
     if match and limit and abs(int(match[1])) > limit:
         raise ValidationError(f"exponent of {text!r} exceeds the {limit}-digit limit")
 

@@ -471,9 +471,9 @@ class GadgetParams:
     """Scale ladder for the gadget latencies: alpha << beta << gamma << M.
 
     beta = alpha^(2K+1) where K is the bundle's total gate count, and
-    gamma = 2*alpha*beta.  M defaults to alpha^6 * gamma^(m+1), which
-    dominates every non-M table entry (the largest is 5 alpha^5 gamma^m)
-    with headroom; it can be overridden upward.
+    gamma = 2*alpha*beta.  M = alpha^6 * gamma^(m+1) dominates every non-M
+    table entry (the largest is 5 alpha^5 gamma^m) with headroom.  rho must
+    be at least 1 and alpha an integer >= max(rho, 2).
     """
 
     rho: Fraction
@@ -490,9 +490,10 @@ class GadgetParams:
         bundle: Bundle,
         rho: Fraction = Fraction(2),
         alpha: Optional[int] = None,
-        big_m: Optional[int] = None,
     ) -> "GadgetParams":
         rho = to_fraction(rho)
+        if rho < 1:
+            raise ValidationError(f"rho must be >= 1, got {rho}")
         k_total = bundle.total_gates()
         m = bundle.n_outputs
         if alpha is None:
@@ -503,13 +504,7 @@ class GadgetParams:
             )
         beta = alpha ** (2 * k_total + 1)
         gamma = 2 * alpha * beta
-        default_m = alpha**6 * gamma ** (m + 1)
-        if big_m is None:
-            big_m = default_m
-        if big_m < default_m:
-            raise ValidationError(
-                f"M = {big_m} is below the default dominance threshold {default_m}"
-            )
+        big_m = alpha**6 * gamma ** (m + 1)
         return cls(rho, alpha, k_total, m, beta, gamma, big_m)
 
     def __post_init__(self):
@@ -518,6 +513,11 @@ class GadgetParams:
                 "scale ladder violated: need alpha < beta < gamma < M, got "
                 f"{self.alpha}, {self.beta}, {self.gamma}, {self.big_m}"
             )
+
+    @property
+    def largest_value(self) -> int:
+        """M^5, the largest latency value `build_flip_game` writes."""
+        return self.big_m**5
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +576,13 @@ def build_flip_game(
     alpha, beta, gamma, M = params.alpha, params.beta, params.gamma, params.big_m
 
     # Global gate ids: main circuit first, then comparisons in key order;
-    # gate `local` of the circuit under `key` is gate offset[key] + local.
+    # the circuit under `key` holds the gates in gate_ids[key].
     circuits = [("main", bundle.main)] + [
         (key, comp)
         for key, comp in sorted(bundle.comparisons.items())
         if isinstance(comp, CircuitGraph)
     ]
     k_total = bundle.total_gates()
-    main_gate_ids = range(len(bundle.main.gates))
-    comp_gate_ids = range(len(bundle.main.gates), k_total)
 
     # Resolve every gate input to a global (kind, idx); label[kind][idx]
     # names that provider in resource names.
@@ -596,20 +594,23 @@ def build_flip_game(
     readers: dict[str, list[list[tuple[int, str]]]] = {
         kind: [[] for _ in names] for kind, names in label.items()
     }
-    offset: dict[Union[str, CompKey], int] = {}
+    gate_ids: dict[Union[str, CompKey], range] = {}
     gate_info: list[BundleGate] = []
     providers: list[list[tuple[str, int]]] = []
     for key, graph in circuits:
-        offset[key] = len(gate_info)
+        base = len(gate_info)
+        gate_ids[key] = range(base, base + len(graph.gates))
         for gate in graph.gates:
             resolved = []
             for slot, (kind, idx) in (("a", gate.a), ("b", gate.b)):
                 if kind == "g":
-                    idx += offset[key]
+                    idx += base
                 readers[kind][idx].append((len(gate_info), slot))
                 resolved.append((kind, idx))
             providers.append(resolved)
             gate_info.append(gate)
+    main_gate_ids = gate_ids["main"]
+    comp_gate_ids = range(len(main_gate_ids), k_total)
 
     asm = _GameAssembler()
 
@@ -651,40 +652,62 @@ def build_flip_game(
             f"BlockS[{j + 1},{i + 1},{b}](Y_{y_owner + 1})", 0, M**2
         )
 
+    def block_s0(j: int) -> int:
+        return asm.resource(f"BlockS_0(Y_{j + 1})", 0, M**2)
+
+    def block_y(j: int) -> int:
+        return asm.resource(f"BlockY_{j + 1}", 0, M**2)
+
+    def trigger_controller(j: int) -> int:
+        return asm.resource(f"TriggerController(Y_{j + 1})", 1, beta**2)
+
+    def trigger_y(j: int, owner: str) -> int:
+        return asm.resource(
+            f"TriggerY_{j + 1}({owner})", 0, 5 * alpha**5 * gamma ** (j + 1)
+        )
+
+    def trigger_done_y(j: int, y_owner: int) -> int:
+        return asm.resource(f"TriggerDoneY_{j + 1}(Y_{y_owner + 1})", 0, M**4)
+
+    def reset_done_y(j: int) -> int:
+        return asm.resource(f"ResetDoneY_{j + 1}", 0, params.largest_value)
+
+    def trigger_x(i: int, value: int, y_owner: int) -> int:
+        name = f"TriggerX_{i + 1},{value}(Y_{y_owner + 1})"
+        return asm.resource(name, 0, alpha * beta)
+
+    def block_x(i: int, value: int, y_owner: int) -> int:
+        return asm.resource(f"BlockX_{i + 1},{value}(Y_{y_owner + 1})", 0, M**4)
+
+    def trigger_y_listen(j: int) -> list[int]:
+        # All copies of Y_j's go-to-One channel: one per shouting source.
+        return [trigger_y(j, "Controller")] + [
+            trigger_y(j, f"Y_{j2 + 1}") for j2 in range(j + 1, m)
+        ]
+
     # Controller -----------------------------------------------------------
     controller = asm.player("Controller")
     rows = [asm.resource("Lock_0", beta, beta)]
-    rows += [asm.resource(f"BlockS_0(Y_{j + 1})", 0, M**2) for j in range(m)]
+    rows += [block_s0(j) for j in range(m)]
     rows += [trigger_lock(k, "Controller") for k in comp_gate_ids]
     rows += [lock_gate(k, "Controller") for k in main_gate_ids]
     asm.strategy(controller, "LockS_0", rows)
 
     for key in present:
         j, i, b = key
-        rows = [
-            asm.resource(f"TriggerController(Y_{j2 + 1})", 1, beta**2)
-            for j2 in range(m)
-        ]
+        rows = [trigger_controller(j2) for j2 in range(m)]
         rows += [block_s(key, j2) for j2 in range(m)]
-        rows.append(asm.resource(f"BlockY_{j + 1}", 0, M**2))
-        comp = bundle.comparisons[key]
-        if isinstance(comp, CircuitGraph):
-            rows += [
-                lock_gate(offset[key] + loc, "Controller")
-                for loc in range(len(comp.gates))
-            ]
+        rows.append(block_y(j))
+        rows += [lock_gate(k, "Controller") for k in gate_ids.get(key, ())]
         asm.strategy(controller, f"LockS[{j + 1},{i + 1},{b}]", rows)
 
     rows = [asm.resource("Reset1", 2 * M, 2 * M)]
-    rows += [
-        asm.resource(f"TriggerY_{j + 1}(Controller)", 0, 5 * alpha**5 * gamma ** (j + 1))
-        for j in range(m)
-    ]
+    rows += [trigger_y(j, "Controller") for j in range(m)]
     rows += [trigger_unlock(k) for k in range(k_total)]
     asm.strategy(controller, "Reset1", rows)
 
     rows = [asm.resource("Reset2", M, M)]
-    rows += [asm.resource(f"ResetDoneY_{j + 1}", 0, M**5) for j in range(m)]
+    rows += [reset_done_y(j) for j in range(m)]
     rows += [trigger_lock(k, "Controller") for k in main_gate_ids]
     asm.strategy(controller, "Reset2", rows)
 
@@ -694,29 +717,12 @@ def build_flip_game(
         own = label["g"][k]
         p = asm.player(own)
         gate_player.append(p)
-        asm.strategy(
-            p,
-            "OneA",
-            [bit(1, "a", k), lock_copy(1, "a", k, own)]
-            + value_rows("g", k, 1, own),
-        )
-        asm.strategy(
-            p,
-            "OneB",
-            [bit(1, "b", k), lock_copy(1, "b", k, own)]
-            + value_rows("g", k, 1, own),
-        )
-        asm.strategy(
-            p,
-            "Zero",
-            [
-                bit(0, "a", k),
-                bit(0, "b", k),
-                lock_copy(0, "a", k, own),
-                lock_copy(0, "b", k, own),
-            ]
-            + value_rows("g", k, 0, own),
-        )
+        for slot in "ab":
+            rows = [bit(1, slot, k), lock_copy(1, slot, k, own)]
+            asm.strategy(p, f"One{slot.upper()}", rows + value_rows("g", k, 1, own))
+        rows = [bit(0, slot, k) for slot in "ab"]
+        rows += [lock_copy(0, slot, k, own) for slot in "ab"]
+        asm.strategy(p, "Zero", rows + value_rows("g", k, 0, own))
 
     # Lock players -----------------------------------------------------------
     lock_player: list[int] = []
@@ -751,91 +757,56 @@ def build_flip_game(
         p = asm.player(label["x"][i])
         x_player.append(p)
         for value, strat_label in ((1, "One"), (0, "Zero")):
-            rows = [
-                asm.resource(
-                    f"TriggerX_{i + 1},{1 - value}(Y_{j + 1})", 0, alpha * beta
-                )
-                for j in range(m)
-            ]
-            rows += [
-                asm.resource(f"BlockX_{i + 1},{value}(Y_{j + 1})", 0, M**4)
-                for j in range(m)
-            ]
+            rows = [trigger_x(i, 1 - value, j) for j in range(m)]
+            rows += [block_x(i, value, j) for j in range(m)]
             rows += value_rows("x", i, value, label["x"][i])
             asm.strategy(p, strat_label, rows)
 
     # Output players ----------------------------------------------------------
     y_player: list[int] = []
-
-    def trigger_y_listen(j: int) -> list[int]:
-        # All copies of Y_j's go-to-One channel: one per shouting source.
-        pair = 5 * alpha**5 * gamma ** (j + 1)
-        rows = [asm.resource(f"TriggerY_{j + 1}(Controller)", 0, pair)]
-        rows += [
-            asm.resource(f"TriggerY_{j + 1}(Y_{j2 + 1})", 0, pair)
-            for j2 in range(j + 1, m)
-        ]
-        return rows
-
     for j in range(m):
-        p = asm.player(label["y"][j])
+        own = label["y"][j]
+        p = asm.player(own)
         y_player.append(p)
         scale = gamma ** (j + 1)
         one_rows = [asm.resource(f"One_{j + 1}", 4 * alpha**4 * scale, None)]
-        one_rows += value_rows("y", j, 1, label["y"][j])
+        one_rows += value_rows("y", j, 1, own)
         asm.strategy(p, "One", one_rows)
 
         for i in range(n):
             for b in (0, 1):
                 rows = [
                     asm.resource(f"Change_{j + 1}", 3 * alpha**3 * scale, None),
-                    asm.resource(f"BlockS_0(Y_{j + 1})", 0, M**2),
-                    asm.resource(
-                        f"TriggerX_{i + 1},{b}(Y_{j + 1})", 0, alpha * beta
-                    ),
-                    asm.resource(f"ResetDoneY_{j + 1}", 0, M**5),
+                    block_s0(j),
+                    trigger_x(i, b, j),
+                    reset_done_y(j),
                 ]
                 rows += trigger_y_listen(j)
-                rows += [
-                    asm.resource(
-                        f"TriggerY_{j2 + 1}(Y_{j + 1})",
-                        0,
-                        5 * alpha**5 * gamma ** (j2 + 1),
-                    )
-                    for j2 in range(j)
-                ]
+                rows += [trigger_y(j2, own) for j2 in range(j)]
                 rows += [block_s(key, j) for key in present if key != (j, i, b)]
-                rows += value_rows("y", j, 1, label["y"][j])
+                rows += value_rows("y", j, 1, own)
                 asm.strategy(p, f"Change[{j + 1},{i + 1},{b}]", rows)
 
         for i in range(n):
             for b in (0, 1):
                 rows = [
                     asm.resource(f"Check_{j + 1}", 2 * alpha**2 * scale, None),
-                    asm.resource(
-                        f"BlockX_{i + 1},{1 - b}(Y_{j + 1})", 0, M**4
-                    ),
-                    asm.resource(f"TriggerController(Y_{j + 1})", 1, beta**2),
-                    asm.resource(f"ResetDoneY_{j + 1}", 0, M**5),
+                    block_x(i, 1 - b, j),
+                    trigger_controller(j),
+                    reset_done_y(j),
                 ]
                 rows += trigger_y_listen(j)
-                rows += [
-                    asm.resource(f"TriggerDoneY_{j2 + 1}(Y_{j + 1})", 0, M**4)
-                    for j2 in range(j)
-                ]
+                rows += [trigger_done_y(j2, j) for j2 in range(j)]
                 rows += [block_s(key, j) for key in present if key != (j, i, b)]
-                rows += value_rows("y", j, 0, label["y"][j])
-                rows += [trigger_lock(k, f"Y_{j + 1}") for k in main_gate_ids]
+                rows += value_rows("y", j, 0, own)
+                rows += [trigger_lock(k, own) for k in main_gate_ids]
                 asm.strategy(p, f"Check[{j + 1},{i + 1},{b}]", rows)
 
         rows = trigger_y_listen(j)
-        rows += [
-            asm.resource(f"TriggerDoneY_{j + 1}(Y_{j2 + 1})", 0, M**4)
-            for j2 in range(j + 1, m)
-        ]
-        rows.append(asm.resource(f"BlockY_{j + 1}", 0, M**2))
-        rows.append(asm.resource(f"ResetDoneY_{j + 1}", 0, M**5))
-        rows += value_rows("y", j, 0, label["y"][j])
+        rows += [trigger_done_y(j, j2) for j2 in range(j + 1, m)]
+        rows.append(block_y(j))
+        rows.append(reset_done_y(j))
+        rows += value_rows("y", j, 0, own)
         asm.strategy(p, "Zero", rows)
 
     resources = [pair_to_linear(a, b) for a, b in asm.resource_pairs]
@@ -876,9 +847,7 @@ def enumeration_order(labels: dict) -> list[int]:
 # Positivizing rescale and structural checks
 
 
-def positivize(
-    game: CongestionGame, alpha: int, resource_count: Optional[int] = None
-) -> CongestionGame:
+def positivize(game: CongestionGame, alpha: int) -> CongestionGame:
     """Remove zero latency values: zeros become 1, everything else scales.
 
     Every value of every resource at loads one and two is multiplied by
@@ -891,8 +860,7 @@ def positivize(
         raise ValidationError("positivize expects a hardness-mode game")
     if alpha < 2:
         raise ValidationError(f"alpha must be >= 2, got {alpha}")
-    count = game.n_resources if resource_count is None else resource_count
-    scale = count * alpha
+    scale = game.n_resources * alpha
     new_resources = []
     for f in game.resources:
         a, b = f.eval(1).numerator, f.eval(2).numerator  # integral in hardness mode

@@ -17,27 +17,30 @@ Round trips are bit exact: parse(format(x)) == x for every Fraction x.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from typing import Any, IO, Optional, Union
 
-from .core import CongestionGame, LatencyFunction, to_fraction, to_index
+from .core import CongestionGame, LatencyFunction, digit_limit, to_fraction, to_index
 from .errors import ValidationError
+
+
+def _over_digit_limit() -> ValidationError:
+    return ValidationError(
+        f"a value has more than {digit_limit()} digits, "
+        "the limit of sys.set_int_max_str_digits"
+    )
 
 
 def format_rational(x: Fraction) -> str:
     """Canonical exact string: '5', '-3/4', '17/16'.
 
-    A numerator or denominator longer than Python's integer string limit
-    (`sys.get_int_max_str_digits()`) raises ValidationError.
+    A numerator or denominator longer than the `core.digit_limit` raises
+    ValidationError.
     """
     try:
         return str(Fraction(x))
     except ValueError as exc:
-        raise ValidationError(
-            f"a value has more than {sys.get_int_max_str_digits()} digits, "
-            "the limit of sys.set_int_max_str_digits"
-        ) from exc
+        raise _over_digit_limit() from exc
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
@@ -79,8 +82,14 @@ def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
 
 
 def json_text(doc: dict) -> str:
-    """Deterministic JSON: fixed key order, 2-space indent, trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Deterministic JSON: fixed key order, 2-space indent, trailing newline.
+
+    An integer longer than the `core.digit_limit` raises ValidationError.
+    """
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    except ValueError as exc:
+        raise _over_digit_limit() from exc
 
 
 def dump_json(doc: dict, fp: IO[str]) -> None:

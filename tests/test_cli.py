@@ -242,6 +242,24 @@ class TestEmptyAndOversizedInput:
         assert "more than 4300 digits" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_solve_trace_parameters_beyond_digit_limit(
+        self, instance, tmp_path, capsys
+    ):
+        # base and move_cap of a 4-player trace at psi 2000 are integers
+        trace = tmp_path / "t.json"
+        argv = ["solve", str(instance), "--psi", "2000", "--trace", str(trace)]
+        assert run(argv) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_bench_move_bound_beyond_digit_limit(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--n-list", "4", "--seeds", "1", "--psi", "2000",
+                "--out", str(out)]
+        assert run(argv) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flip_gen_beyond_digit_limit(self, tmp_path, capsys):
         # M^5 = alpha^100 for a one-gate circuit: over 4300 digits here
         circ = tmp_path / "circ.json"
@@ -333,6 +351,17 @@ class TestFlipGen:
         out = tmp_path / "game.json"
         assert run(["flip-gen", str(circ), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["0", "-5", "1/2"])
+    def test_rho_below_one_exit_2(self, tmp_path, capsys, rho):
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(
+            flip_instance_to_dict(FlipInstance(1, [(("x", 0), ("x", 0))], [0]))
+        ))
+        out = tmp_path / "game.json"
+        assert run(["flip-gen", str(circ), "--rho", rho, "--out", str(out)]) == 2
+        assert "rho must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):

@@ -5,11 +5,18 @@ it produced when the fixture was recorded.  The instances are a d=1 random
 game, a d=2 game with fractional coefficients (solved with theta 3), and a
 three-tier game whose solve runs moves in two phases.  The flip cases pair
 a circuit file with the game and bundle JSON that `congames flip-gen` wrote
-for it: y = x1 AND x2, and a one-input circuit with two outputs.  Rewrite
-the fixtures with `PYTHONPATH=src python tests/test_golden.py`, and only for
-an intended change of output.
+for it: y = x1 AND x2, and a one-input circuit with two outputs.  The flip
+digest cases keep only sha256 digests of the game and bundle JSON, because
+their games run to hundreds of kilobytes: seeded circuits with 2-3 inputs
+and 2 outputs, whose bundles hold comparison circuits for both outputs.
+Rewrite the fixtures with `PYTHONPATH=src python tests/test_golden.py`, and
+only for an intended change of output.
 """
 
+import hashlib
+import json
+import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +86,51 @@ def test_flip_gen_bytes_unchanged(name, tmp_path):
         assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
 
 
+DIGESTS = FIXTURES / "flip_digests.json"
+DIGEST_SEEDS = range(6)
+
+
+def digest_circuit(seed):
+    """Circuit document: 2-3 inputs, 3-5 NAND gates, 2 distinct outputs."""
+    rng = random.Random(seed)
+    n_inputs, n_gates = rng.randint(2, 3), rng.randint(3, 5)
+    gates = []
+    for k in range(n_gates):
+        refs = [{"x": i} for i in range(n_inputs)] + [{"g": j} for j in range(k)]
+        gates.append({"a": rng.choice(refs), "b": rng.choice(refs)})
+    return {"inputs": n_inputs, "gates": gates, "outputs": rng.sample(range(n_gates), 2)}
+
+
+def flip_digests(circuit, out_dir):
+    """sha256 of the game and bundle JSON that flip-gen writes for `circuit`."""
+    path = out_dir / "circuit.json"
+    path.write_text(json.dumps(circuit), encoding="utf-8")
+    game, bundle = out_dir / "game.json", out_dir / "bundle.json"
+    code = main(["flip-gen", str(path), "--out", str(game), "--bundle-out", str(bundle)])
+    assert code == 0
+    return {
+        "game_sha256": hashlib.sha256(game.read_bytes()).hexdigest(),
+        "bundle_sha256": hashlib.sha256(bundle.read_bytes()).hexdigest(),
+    }
+
+
+def record_digests(out_dir):
+    cases = []
+    for seed in DIGEST_SEEDS:
+        circuit = digest_circuit(seed)
+        cases.append({"seed": seed, "circuit": circuit, **flip_digests(circuit, out_dir)})
+    lines = ",\n".join(json.dumps(case) for case in cases)
+    DIGESTS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", DIGEST_SEEDS)
+def test_flip_gen_digests_unchanged(seed, tmp_path):
+    case = json.loads(DIGESTS.read_text(encoding="utf-8"))[seed]
+    assert case["seed"] == seed and case["circuit"] == digest_circuit(seed)
+    digests = flip_digests(case["circuit"], tmp_path)
+    assert digests == {k: case[k] for k in ("game_sha256", "bundle_sha256")}
+
+
 @pytest.mark.parametrize("scheduler", ["scan", "random"])
 def test_tiered_case_has_several_phases(scheduler):
     trace = run_case(f"tiered.solve_{scheduler}.trace.json")
@@ -91,3 +143,5 @@ if __name__ == "__main__":
         (FIXTURES / name).write_text(run_case(name).to_json(), encoding="utf-8")
     for name in FLIP_CASES:
         flip_gen(name, FIXTURES)
+    with tempfile.TemporaryDirectory() as tmp:
+        record_digests(Path(tmp))

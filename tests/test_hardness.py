@@ -165,13 +165,10 @@ class TestGadgetParams:
         with pytest.raises(ValidationError):
             GadgetParams.for_bundle(bundle, rho=F(5), alpha=3)
 
-    def test_m_override_only_upward(self):
-        bundle = derive_subcircuits(NOT_X)
-        default = GadgetParams.for_bundle(bundle)
-        bigger = GadgetParams.for_bundle(bundle, big_m=default.big_m * 2)
-        assert bigger.big_m == default.big_m * 2
-        with pytest.raises(ValidationError):
-            GadgetParams.for_bundle(bundle, big_m=default.big_m // 2)
+    def test_largest_value_is_largest_written(self):
+        _, params, game, _ = build(NAND_XY)
+        written = max(max(f.eval(1), f.eval(2)) for f in game.resources)
+        assert written == params.largest_value == params.big_m**5
 
 
 class TestDeriveSubcircuits:
@@ -371,9 +368,9 @@ class TestPositivize:
         game = CongestionGame(
             [[-big, big], [3, 2]], [[[0]], [[0], [1]]], mode="hardness"
         )
-        out = positivize(game, alpha=2, resource_count=10)
-        assert (out.resources[0].eval(1), out.resources[0].eval(2)) == (1, 20 * big)
-        assert (out.resources[1].eval(1), out.resources[1].eval(2)) == (100, 140)
+        out = positivize(game, alpha=2)  # scale = 2 resources * alpha = 4
+        assert (out.resources[0].eval(1), out.resources[0].eval(2)) == (1, 4 * big)
+        assert (out.resources[1].eval(1), out.resources[1].eval(2)) == (20, 28)
 
     def test_built_game_values_all_positive(self):
         _, params, game, _ = build(NAND_XY)
