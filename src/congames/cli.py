@@ -39,7 +39,10 @@ EXIT_CONTRACT = 4
 def _parse_rho(text: str) -> Optional[Fraction]:
     if text.lower() in ("inf", "infinity"):
         return None
-    return to_fraction(text)
+    rho = to_fraction(text)
+    if rho < 1:
+        raise ValidationError(f"rho must be >= 1, got {rho}")
+    return rho
 
 
 def cmd_gen(args) -> int:
@@ -146,6 +149,8 @@ def _default_audit_corpus() -> list[CongestionGame]:
 
 
 def cmd_audit(args) -> int:
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     if args.instance:
         game, _labels = serialize.read_instance(args.instance)
         corpus = [game]
@@ -326,7 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="randomized exact identity audit")
     p.add_argument("instance", nargs="?", default=None)
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=500,
+        help="trials in all; without an instance they are split over the "
+        "50-game default corpus, at least one per game",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_audit)

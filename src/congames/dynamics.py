@@ -10,9 +10,10 @@ potential difference equals the cost difference move by move.
 
 Best responses compare the unwrapped table sums of `cost_sums` (ints for
 integral games) and the threshold test is one cross-multiplication.  Both
-`epsilon_br_dynamics` and the phased solver keep an `EligibilityCache`:
-a player's threshold answer is recomputed only after a move changed the load
-on one of her resources.
+`epsilon_br_dynamics` and the phased solver drive a `Walk`, which owns the
+current state and potential, the move log and the threshold results: a
+player's threshold answer is recomputed only after a move changed the load on
+one of her resources.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from .core import CongestionGame, State, to_fraction
 from .errors import ValidationError
@@ -162,33 +163,13 @@ def find_threshold_move(
     return None
 
 
-def apply_move(
-    game: CongestionGame,
-    state: State,
-    potential: Fraction,
-    u: int,
-    idx: int,
-    new_cost: Fraction,
-    moves: list[MoveRecord],
-    phase: Optional[int] = None,
-) -> tuple[State, Fraction]:
-    """Move u to strategy idx, log the move, return the new state and potential.
+class Walk:
+    """One improvement walk: its state, potential, move log and threshold cache.
 
-    The potential is updated by the mover's cost change (Rosenthal's
-    identity), not recomputed.
-    """
-    old_cost = game.player_cost(state, u)
-    new_potential = potential + (new_cost - old_cost)
-    record = MoveRecord(
-        u, state.choices[u], idx, old_cost, new_cost, potential, new_potential, phase
-    )
-    moves.append(record)
-    return state.apply(game, u, idx), new_potential
+    `move` updates the potential by the mover's cost change (Rosenthal's
+    identity), not by recomputing it, and logs the move.
 
-
-class EligibilityCache:
-    """Each checked player's `find_threshold_move` result at the current state.
-
+    `eligible` keeps each checked player's `find_threshold_move` result.
     Whether v has a threshold move depends only on v's own choice and the
     loads on the resources of v's strategies.  A move of u from `old` to
     `new` changes loads only on old | new, so only the players in
@@ -201,36 +182,58 @@ class EligibilityCache:
     checked next under p, and no player of a later block has been checked.
     """
 
-    def __init__(self, game: CongestionGame):
+    def __init__(self, game: CongestionGame, state: State):
         self.game = game
+        self.initial = state
+        self.state = state
+        self.potential = game.potential(state)
+        self.moves: list[MoveRecord] = []
         self.results: dict[int, Optional[tuple[int, Fraction]]] = {}
 
-    def check(
-        self, state: State, u: int, q: Fraction
-    ) -> Optional[tuple[int, Fraction]]:
-        """find_threshold_move(game, state, u, q), reusing a cached result."""
+    def eligible(
+        self, members: Iterable[int], q: Fraction
+    ) -> Iterator[tuple[int, tuple[int, Fraction]]]:
+        """(u, threshold move of u under q) for each member that has one, in order.
+
+        Each member is checked at the walk's state when the iteration reaches
+        it, so moving between two yields is allowed.
+        """
         results = self.results
-        if u not in results:
-            results[u] = find_threshold_move(self.game, state, u, q)
-        return results[u]
+        for u in members:
+            if u not in results:
+                results[u] = find_threshold_move(self.game, self.state, u, q)
+            found = results[u]
+            if found is not None:
+                yield u, found
 
     def move(
-        self,
-        state: State,
-        potential: Fraction,
-        u: int,
-        found: tuple[int, Fraction],
-        moves: list[MoveRecord],
-        phase: Optional[int] = None,
-    ) -> tuple[State, Fraction]:
-        """`apply_move` for u's threshold move `found`; forget whom it touched."""
-        game, results = self.game, self.results
+        self, u: int, found: tuple[int, Fraction], phase: Optional[int] = None
+    ) -> None:
+        """Execute u's threshold move `found`, log it, forget whom it touched."""
+        game, state, results = self.game, self.state, self.results
         idx, new_cost = found
         strats = game.players[u]
         for e in {*strats[state.choices[u]], *strats[idx]}:
             for v in game.users[e]:
                 results.pop(v, None)
-        return apply_move(game, state, potential, u, idx, new_cost, moves, phase)
+        old_cost = game.player_cost(state, u)
+        before = self.potential
+        self.potential = before + (new_cost - old_cost)
+        record = MoveRecord(
+            u, state.choices[u], idx, old_cost, new_cost, before, self.potential, phase
+        )
+        self.moves.append(record)
+        self.state = state.apply(game, u, idx)
+
+    def trace(self, **fields) -> RunTrace:
+        """The run so far; `fields` sets truncated, phases and parameters."""
+        return RunTrace(
+            initial_state=self.initial.choices,
+            final_state=self.state.choices,
+            final_potential=self.potential,
+            moves=self.moves,
+            **fields,
+        )
 
 
 def epsilon_br_dynamics(
@@ -247,12 +250,14 @@ def epsilon_br_dynamics(
     sweep); a player moves when she has a (1+eps)-move, and then executes her
     full best response.  Stops when a whole sweep finds no move, or the cap
     is hit (the trace is then flagged truncated, which is not an error).
-    An `EligibilityCache` skips the players no move has touched since their
-    last check.
+    The sweeps drive one `Walk`, so a player no move has touched since her
+    last check is not checked again.  `move_cap` must be at least 1.
     """
     epsilon = to_fraction(epsilon)
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    if move_cap < 1:
+        raise ValidationError(f"move_cap must be at least 1, got {move_cap}")
     if game.mode != "standard":
         raise ValidationError("dynamics require a standard-mode game")
     if order not in ("roundrobin", "random"):
@@ -260,32 +265,15 @@ def epsilon_br_dynamics(
     q = 1 + epsilon
     rng = random.Random(seed)
 
-    state = state0
-    potential = game.potential(state)
-    moves: list[MoveRecord] = []
-    cache = EligibilityCache(game)
-    truncated = False
+    walk = Walk(game, state0)
     while True:
         players = list(range(game.n_players))
         if order == "random":
             rng.shuffle(players)
-        moved = False
-        for u in players:
-            found = cache.check(state, u, q)
-            if found is None:
-                continue
-            state, potential = cache.move(state, potential, u, found, moves)
-            moved = True
-            if len(moves) >= move_cap:
-                truncated = True
-                break
-        if truncated or not moved:
-            break
-
-    return RunTrace(
-        initial_state=state0.choices,
-        final_state=state.choices,
-        final_potential=potential,
-        moves=moves,
-        truncated=truncated,
-    )
+        swept_from = len(walk.moves)
+        for u, found in walk.eligible(players, q):
+            walk.move(u, found)
+            if len(walk.moves) >= move_cap:
+                return walk.trace(truncated=True)
+        if len(walk.moves) == swept_from:
+            return walk.trace()

@@ -10,9 +10,11 @@ exact, while for degree >= 2 the caller must supply a ratio bound explicitly
 (only an existential bound of the d^O(d) type is known, with no usable
 constant).
 
-The final state is a p(1 + 4/n^psi)-approximate equilibrium, and the number
-of executed moves is polynomial in n; both facts are re-checked by the test
-suite with the exact verifier.
+The phases drive one `dynamics.Walk`, which owns the state, the potential,
+the move log and the cached threshold checks of the whole run.  The final
+state is a p(1 + 4/n^psi)-approximate equilibrium, and the number of executed
+moves is polynomial in n; both facts are re-checked by the test suite with
+the exact verifier.
 
 All block arithmetic is exact: boundaries are rational powers of the base
 B = 2^(d+1) n^(2 psi + d + 1), and membership is decided by repeated exact
@@ -24,10 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .core import CongestionGame, State, to_fraction
-from .dynamics import EligibilityCache, MoveRecord, RunTrace, optimistic_cost
+from .dynamics import RunTrace, Walk, optimistic_cost
 from .errors import ContractViolationError, ParameterError, ValidationError
 from .serialize import format_rational
 
@@ -203,10 +206,10 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     on single-block partitions (all optimistic costs equal) it is what
     equilibrates the only block.
 
-    Threshold checks go through one `EligibilityCache` for the whole run:
-    after a move only the players sharing a resource with the mover's old or
-    new strategy are checked again, and the schedulers see exactly the
-    eligible sets a full rescan would find.
+    The run is one `Walk`, which keeps the state, potential, move log and
+    threshold results: after a move only the players sharing a resource with
+    the mover's old or new strategy are checked again, and the schedulers see
+    exactly the eligible sets a full rescan would find.
 
     The returned trace records exact costs and potentials per move, phase
     summaries, parameters, and the guarantee bound p(1 + 4 n^-psi).
@@ -227,8 +230,7 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
         ells.append(ell)
         initial_choices.append(idx)
 
-    state = State.of(game, initial_choices)
-    potential = game.potential(state)
+    walk = Walk(game, State.of(game, initial_choices))
 
     params: dict = {
         "n": n,
@@ -248,14 +250,7 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     if partition.is_degenerate:
         # Every optimistic cost is zero: the initial state costs 0 to all.
         params["degenerate"] = True
-        return RunTrace(
-            initial_state=state.choices,
-            final_state=state.choices,
-            final_potential=potential,
-            moves=[],
-            phases=[],
-            parameters=params,
-        )
+        return walk.trace(phases=[], parameters=params)
 
     q, p, th = parameters(n, d, config)
     cap = (
@@ -273,56 +268,31 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
         }
     )
 
-    moves: list[MoveRecord] = []
     phases: list[dict] = []
-    cache = EligibilityCache(game)
-
-    def eligible_moves(members: Sequence[int], factor: Fraction):
-        for u in members:
-            found = cache.check(state, u, factor)
-            if found is not None:
-                yield u, found
-
     for i in range(1, partition.m + 1):
         block_i = partition.blocks[i - 1]
         if not block_i:
             continue
         block_next = partition.blocks[i] if i < partition.m else []
-        phase_moves = 0
+        phase_start = len(walk.moves)
         while True:
-            chosen = None
+            eligible = chain(walk.eligible(block_i, p), walk.eligible(block_next, q))
             if config.scheduler == "scan":
-                for u, found in eligible_moves(block_i, p):
-                    chosen = (u, found)
-                    break
-                if chosen is None:
-                    for u, found in eligible_moves(block_next, q):
-                        chosen = (u, found)
-                        break
+                chosen = next(eligible, None)
             else:
-                candidates = list(eligible_moves(block_i, p))
-                candidates += list(eligible_moves(block_next, q))
-                if candidates:
-                    chosen = candidates[rng.randrange(len(candidates))]
+                candidates = list(eligible)
+                chosen = (
+                    candidates[rng.randrange(len(candidates))] if candidates else None
+                )
             if chosen is None:
                 break
-            u, found = chosen
-            if len(moves) + 1 > cap:
+            if len(walk.moves) + 1 > cap:
                 raise ContractViolationError(
                     f"move cap {cap} exceeded in phase {i}; the schedule "
                     "should terminate well below it"
                 )
-            state, potential = cache.move(
-                state, potential, u, found, moves, phase=i
-            )
-            phase_moves += 1
+            walk.move(*chosen, phase=i)
+        phase_moves = len(walk.moves) - phase_start
         phases.append({"i": i, "block_size": len(block_i), "moves": phase_moves})
 
-    return RunTrace(
-        initial_state=tuple(initial_choices),
-        final_state=state.choices,
-        final_potential=potential,
-        moves=moves,
-        phases=phases,
-        parameters=params,
-    )
+    return walk.trace(phases=phases, parameters=params)

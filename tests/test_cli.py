@@ -131,6 +131,19 @@ class TestVerifyBrute:
         assert "rho_star=4" in out and "ok=false" in out
         assert run(["verify", str(inst), str(st), "--rho", "inf"]) == 0
         assert "ok=true" in capsys.readouterr().out
+        assert run(["verify", str(inst), str(st), "--rho", "1"]) == 0
+        assert "ok=false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rho", ["0", "-5", "1/2"])
+    def test_verify_rho_below_one_exit_2(self, tmp_path, capsys, rho):
+        inst = tmp_path / "i.json"
+        write_instance(CongestionGame([[4], [1]], [[[0], [1]]]), str(inst))
+        st = tmp_path / "s.json"
+        write_state([0], str(st))
+        assert run(["verify", str(inst), str(st), "--rho", rho]) == 2
+        captured = capsys.readouterr()
+        assert "rho must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_verify_report_file(self, tmp_path):
         inst = tmp_path / "i.json"
@@ -319,6 +332,14 @@ class TestAudit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_violations"] == 0
         assert doc["rosenthal"]["trials"] >= 50
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, instance, capsys, trials):
+        for argv in (["audit"], ["audit", str(instance)]):
+            assert run([*argv, "--trials", trials]) == 2
+            captured = capsys.readouterr()
+            assert "--trials must be at least 1" in captured.err
+            assert captured.out == ""
 
 
 class TestFlipGen:

@@ -180,6 +180,12 @@ class TestEpsilonDynamics:
         assert trace.truncated
         assert trace.n_moves == 1
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        g = CongestionGame([[0, 1], [0, 1]], [[[0], [1]], [[0], [1]]])
+        with pytest.raises(ValidationError, match="move_cap"):
+            epsilon_br_dynamics(g, g.state([0, 0]), F(1, 10), move_cap=cap)
+
     def test_random_order_deterministic_in_seed(self):
         g = random_game(77, n=6)
         s0 = g.state([0] * 6)

@@ -2,8 +2,10 @@
 
 `reference_solve` and `reference_eps_br` re-check every player before every
 move, with a `Fraction` best response, as the solver and the dynamics did
-before they kept an eligibility cache and compared integer table sums.  Their
-traces must match the package's byte for byte.
+before they kept an eligibility cache and compared integer table sums.  They
+log their own moves and recompute every potential from the state, where the
+package updates it by the mover's cost change.  Their traces must match the
+package's byte for byte.
 """
 
 import random
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congames import CongestionGame, SolverConfig, epsilon_br_dynamics, solve
-from congames.dynamics import RunTrace, apply_move, optimistic_cost
+from congames.dynamics import MoveRecord, RunTrace, optimistic_cost
 from congames.errors import ContractViolationError, ParameterError
 from congames.serialize import format_rational, read_instance
 from congames.solver import (
@@ -43,6 +45,20 @@ def reference_threshold_move(game, state, u, q):
     return None
 
 
+def reference_move(game, state, u, found, moves, phase=None):
+    """Move u as `found` says and log it with recomputed potentials."""
+    idx, new_cost = found
+    new_state = state.apply(game, u, idx)
+    old_cost = game.player_cost(state, u)
+    moves.append(
+        MoveRecord(
+            u, state.choices[u], idx, old_cost, new_cost,
+            game.potential(state), game.potential(new_state), phase,
+        )
+    )
+    return new_state
+
+
 def reference_solve(game, config):
     """The phased solver with a full rescan of both blocks after every move."""
     n = game.n_players
@@ -56,7 +72,6 @@ def reference_solve(game, config):
         ells.append(ell)
         initial_choices.append(idx)
     state = game.state(initial_choices)
-    potential = game.potential(state)
 
     params = {"n": n, "d": d, "psi": psi, "scheduler": config.scheduler}
     if config.seed is not None:
@@ -69,7 +84,8 @@ def reference_solve(game, config):
     if partition.is_degenerate:
         params["degenerate"] = True
         return RunTrace(
-            state.choices, state.choices, potential, [], phases=[], parameters=params
+            state.choices, state.choices, game.potential(state), [],
+            phases=[], parameters=params,
         )
 
     q, p, th = parameters(n, d, config)
@@ -113,20 +129,18 @@ def reference_solve(game, config):
                     chosen = candidates[rng.randrange(len(candidates))]
             if chosen is None:
                 break
-            u, (idx, new_cost) = chosen
+            u, found = chosen
             if len(moves) + 1 > cap:
                 raise ContractViolationError(
                     f"move cap {cap} exceeded in phase {i}; the schedule "
                     "should terminate well below it"
                 )
-            state, potential = apply_move(
-                game, state, potential, u, idx, new_cost, moves, phase=i
-            )
+            state = reference_move(game, state, u, found, moves, phase=i)
             phase_moves += 1
         phases.append({"i": i, "block_size": len(block_i), "moves": phase_moves})
 
     return RunTrace(
-        tuple(initial_choices), state.choices, potential, moves,
+        tuple(initial_choices), state.choices, game.potential(state), moves,
         phases=phases, parameters=params,
     )
 
@@ -138,7 +152,6 @@ def reference_eps_br(
     q = 1 + epsilon
     rng = random.Random(seed)
     state = state0
-    potential = game.potential(state)
     moves = []
     truncated = False
     while True:
@@ -150,10 +163,7 @@ def reference_eps_br(
             found = reference_threshold_move(game, state, u, q)
             if found is None:
                 continue
-            idx, new_cost = found
-            state, potential = apply_move(
-                game, state, potential, u, idx, new_cost, moves
-            )
+            state = reference_move(game, state, u, found, moves)
             moved = True
             if len(moves) >= move_cap:
                 truncated = True
@@ -161,7 +171,8 @@ def reference_eps_br(
         if truncated or not moved:
             break
     return RunTrace(
-        state0.choices, state.choices, potential, moves, truncated=truncated
+        state0.choices, state.choices, game.potential(state), moves,
+        truncated=truncated,
     )
 
 
