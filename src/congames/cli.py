@@ -253,6 +253,11 @@ def cmd_bench(args) -> int:
         raise ValidationError(
             f"--n-list takes comma-separated integers, got {args.n_list!r}"
         ) from None
+    if not ns:
+        raise ValidationError(f"--n-list names no player count, got {args.n_list!r}")
+    for flag, value in (("--seeds", args.seeds), ("--workers", args.workers)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {value}")
     tasks = [
         (
             n,

@@ -15,7 +15,6 @@ cross-checks the two).
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -34,21 +33,6 @@ from .errors import BudgetExceededError, ValidationError
 from .serialize import format_rational, game_to_dict
 
 DEFAULT_ENUM_BUDGET = 1 << 20
-BUDGET_ENV_VAR = "CONGAMES_ENUM_BUDGET"
-
-
-def enumeration_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_ENUM_BUDGET
 
 
 def state_space_size(game: CongestionGame) -> int:
@@ -59,7 +43,9 @@ def state_space_size(game: CongestionGame) -> int:
 
 
 def _require_budget(game: CongestionGame, budget: Optional[int]) -> None:
-    limit = enumeration_budget(budget)
+    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+    if limit < 1:
+        raise ValidationError(f"budget must be at least 1, got {limit}")
     size = state_space_size(game)
     if size > limit:
         raise BudgetExceededError(
@@ -67,39 +53,41 @@ def _require_budget(game: CongestionGame, budget: Optional[int]) -> None:
         )
 
 
+def _ratio_str(ratio: Optional[Fraction]) -> str:
+    return "inf" if ratio is None else format_rational(ratio)
+
+
 @dataclass
 class ApproxReport:
     """Exact approximation factor of a state, with a witness deviation.
 
-    rho_star is None exactly when `infinite` is set (some player with
-    positive cost has a zero-cost deviation).  Otherwise rho_star is the max
-    over players and deviations of cost/deviation-cost, which is >= 1.
+    rho_star is the max over players and deviations of cost/deviation-cost,
+    which is >= 1, or None when infinite: some player with positive cost has
+    a zero-cost deviation.  The witness is the first pair attaining it.
     """
 
     rho_star: Optional[Fraction]
-    infinite: bool
     witness: tuple[int, int]
     per_player: list[Optional[Fraction]]
+
+    @property
+    def infinite(self) -> bool:
+        return self.rho_star is None
 
     def is_approx(self, rho: Optional[Fraction]) -> bool:
         """True when the state is a rho-approximate equilibrium (None = inf)."""
         if rho is None:
             return True
-        if self.infinite:
-            return False
-        assert self.rho_star is not None
-        return self.rho_star <= to_fraction(rho)
+        return self.rho_star is not None and self.rho_star <= to_fraction(rho)
 
     def rho_star_str(self) -> str:
-        return "inf" if self.infinite else format_rational(self.rho_star)
+        return _ratio_str(self.rho_star)
 
     def to_dict(self) -> dict:
         return {
             "rho_star": self.rho_star_str(),
             "witness": {"player": self.witness[0], "strategy": self.witness[1]},
-            "per_player": [
-                "inf" if r is None else format_rational(r) for r in self.per_player
-            ],
+            "per_player": [_ratio_str(r) for r in self.per_player],
         }
 
 
@@ -113,33 +101,21 @@ def approximation_factor(game: CongestionGame, state: State) -> ApproxReport:
     the deviations, so a cheapest deviation of 0 means 0/0 = 1 or
     positive/0 = infinity.
     """
-    best_ratio: Optional[Fraction] = None
-    infinite = False
-    witness = (0, state.choices[0])
-    per_player: list[Optional[Fraction]] = []
+    pairs: list[tuple[Optional[Fraction], tuple[int, int]]] = []
     for u in range(game.n_players):
         cur = game.player_cost(state, u)
         low, alt = min(
             (game.deviation_cost(state, u, a), a)
             for a in range(len(game.players[u]))
         )
-        ratio: Optional[Fraction]
-        if low == 0:
-            ratio = Fraction(1) if cur == 0 else None
+        if low:
+            ratio: Optional[Fraction] = cur / low
         else:
-            ratio = cur / low
-        per_player.append(ratio)
-        if ratio is None:
-            if not infinite:
-                infinite = True
-                witness = (u, alt)
-        elif not infinite and (best_ratio is None or ratio > best_ratio):
-            best_ratio = ratio
-            witness = (u, alt)
-    if infinite:
-        return ApproxReport(None, True, witness, per_player)
-    assert best_ratio is not None
-    return ApproxReport(best_ratio, False, witness, per_player)
+            ratio = Fraction(1) if cur == 0 else None
+        pairs.append((ratio, (u, alt)))
+    # max keeps the first of equal keys; an infinite ratio beats any finite one.
+    rho_star, witness = max(pairs, key=lambda p: (p[0] is None, p[0] or 0))
+    return ApproxReport(rho_star, witness, [ratio for ratio, _ in pairs])
 
 
 def brute_min_potential(
@@ -284,6 +260,22 @@ class AuditCheck:
     trials: int = 0
     violations: list[dict] = field(default_factory=list)
 
+    def record(self, holds: bool, game: CongestionGame, state: State, **detail) -> None:
+        """Count one trial; when the identity fails, keep a counterexample.
+
+        The counterexample embeds the full instance and state for replay,
+        then the details, Fractions written as exact rationals.
+        """
+        self.trials += 1
+        if not holds:
+            exact = {
+                key: format_rational(v) if isinstance(v, Fraction) else v
+                for key, v in detail.items()
+            }
+            self.violations.append(
+                {"instance": game_to_dict(game), "state": list(state.choices), **exact}
+            )
+
     def to_dict(self) -> dict:
         return {"trials": self.trials, "violations": self.violations}
 
@@ -344,12 +336,6 @@ def sample_state(game: CongestionGame, rng: random.Random) -> State:
     )
 
 
-def _counterexample(game: CongestionGame, state: State, detail: dict) -> dict:
-    doc = {"instance": game_to_dict(game), "state": list(state.choices)}
-    doc.update(detail)
-    return doc
-
-
 def audit_identities(
     game: CongestionGame,
     seed: int,
@@ -369,6 +355,11 @@ def audit_identities(
     """
     if game.mode != "standard":
         raise ValidationError("audits are defined for standard-mode games")
+    # The brute force comes first so that a bad budget fails before the trials.
+    try:
+        phi_min: Optional[Fraction] = brute_min_potential(game, budget)[1]
+    except BudgetExceededError:
+        phi_min = None
     rng = random.Random(seed)
     report = AuditReport()
     n = game.n_players
@@ -378,108 +369,73 @@ def audit_identities(
 
         u = rng.randrange(n)
         alt = rng.randrange(len(game.players[u]))
-        report.rosenthal.trials += 1
         phi = game.potential(state)
         moved = state.apply(game, u, alt)
         lhs = game.potential(moved) - phi
         rhs = game.player_cost(moved, u) - game.player_cost(state, u)
-        if lhs != rhs:
-            report.rosenthal.violations.append(
-                _counterexample(
-                    game,
-                    state,
-                    {
-                        "player": u,
-                        "alt": alt,
-                        "potential_diff": format_rational(lhs),
-                        "cost_diff": format_rational(rhs),
-                    },
-                )
-            )
+        report.rosenthal.record(
+            lhs == rhs,
+            game,
+            state,
+            player=u,
+            alt=alt,
+            potential_diff=lhs,
+            cost_diff=rhs,
+        )
 
-        report.sandwich.trials += 1
         lat, pot, total = aggregate_metrics(game, state)
-        if not (lat <= pot <= total):
-            report.sandwich.violations.append(
-                _counterexample(
-                    game,
-                    state,
-                    {
-                        "latency_sum": format_rational(lat),
-                        "potential": format_rational(pot),
-                        "total_cost": format_rational(total),
-                    },
-                )
-            )
+        report.sandwich.record(
+            lat <= pot <= total,
+            game,
+            state,
+            latency_sum=lat,
+            potential=pot,
+            total_cost=total,
+        )
 
-        report.subadditivity.trials += 1
         subset = frozenset(u for u in range(n) if rng.random() < 0.5)
+        members = sorted(subset)
         view = SubgameView.freeze(game, state, subset)
         coview = SubgameView.freeze(game, state, frozenset(range(n)) - subset)
         phi_f = view.potential(state)
         phi_rest = coview.potential(state)
-        if not (phi <= phi_f + phi_rest and phi >= phi_f):
-            report.subadditivity.violations.append(
-                _counterexample(
-                    game,
-                    state,
-                    {
-                        "subset": sorted(subset),
-                        "potential": format_rational(phi),
-                        "potential_F": format_rational(phi_f),
-                        "potential_rest": format_rational(phi_rest),
-                    },
-                )
-            )
+        report.subadditivity.record(
+            phi_f <= phi <= phi_f + phi_rest,
+            game,
+            state,
+            subset=members,
+            potential=phi,
+            potential_F=phi_f,
+            potential_rest=phi_rest,
+        )
 
         if subset:
-            report.subgame_consistency.trials += 1
-            w = rng.choice(sorted(subset))
+            w = rng.choice(members)
             same_cost = game.player_cost(state, w) == view.player_cost(state, w)
-            full_costs = [
-                game.deviation_cost(state, w, a)
-                for a in range(len(game.players[w]))
-            ]
-            view_costs = [
-                view.deviation_cost(state, w, a)
-                for a in range(len(game.players[w]))
-            ]
-            same_br = [
-                a for a, c in enumerate(full_costs) if c == min(full_costs)
-            ] == [a for a, c in enumerate(view_costs) if c == min(view_costs)]
-            if not (same_cost and same_br):
-                report.subgame_consistency.violations.append(
-                    _counterexample(
-                        game, state, {"player": w, "subset": sorted(subset)}
-                    )
-                )
+            alts = range(len(game.players[w]))
+            best = []  # the best responses in the game, then in the view
+            for g in (game, view):
+                costs = [g.deviation_cost(state, w, a) for a in alts]
+                best.append([a for a, c in enumerate(costs) if c == min(costs)])
+            report.subgame_consistency.record(
+                same_cost and best[0] == best[1], game, state, player=w, subset=members
+            )
 
-    try:
-        _, phi_min = brute_min_potential(game, budget)
-    except BudgetExceededError:
+    if phi_min is None:
         return report
-    report.potential_ratio.trials += 1
     q = Fraction(3, 2)
     trace = epsilon_br_dynamics(game, sample_state(game, rng), epsilon=q - 1)
-    if trace.truncated:
-        return report
     phi_end = trace.final_potential
-    if phi_min > 0:
-        ratio = phi_end / phi_min
-        if report.max_ratio_observed is None or ratio > report.max_ratio_observed:
-            report.max_ratio_observed = ratio
-    if game.degree <= 1 and phi_end > 2 * q / (2 - q) * phi_min:
-        report.potential_ratio.violations.append(
-            _counterexample(
-                game,
-                State.of(game, trace.final_state),
-                {
-                    "q": format_rational(q),
-                    "potential": format_rational(phi_end),
-                    "min_potential": format_rational(phi_min),
-                },
-            )
-        )
+    if not trace.truncated and phi_min > 0:
+        report.max_ratio_observed = phi_end / phi_min
+    report.potential_ratio.record(
+        trace.truncated or game.degree > 1 or phi_end <= 2 * q / (2 - q) * phi_min,
+        game,
+        State.of(game, trace.final_state),
+        q=q,
+        potential=phi_end,
+        min_potential=phi_min,
+    )
     return report
 
 

@@ -4,12 +4,19 @@ import csv
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from congames import cli, hardness
+from congames import cli, hardness, verify
 from congames.hardness import flip_instance_to_dict, FlipInstance
-from congames.serialize import read_instance, write_instance, write_state
+from congames.serialize import (
+    game_from_dict,
+    game_to_dict,
+    read_instance,
+    write_instance,
+    write_state,
+)
 from congames import CongestionGame
 
 
@@ -169,10 +176,12 @@ class TestVerifyBrute:
         assert run(["brute", str(instance), "--budget", "2"]) == 3
         assert "budget" in capsys.readouterr().err
 
-    def test_bad_budget_env_exit_2(self, instance, monkeypatch, capsys):
-        monkeypatch.setenv("CONGAMES_ENUM_BUDGET", "abc")
-        assert run(["brute", str(instance)]) == 2
-        assert "CONGAMES_ENUM_BUDGET" in capsys.readouterr().err
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_brute_budget_below_one_exit_2(self, instance, capsys, budget):
+        assert run(["brute", str(instance), "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert "budget must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 class TestMalformedInput:
@@ -341,6 +350,32 @@ class TestAudit:
             assert "--trials must be at least 1" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit_2(self, instance, capsys, budget):
+        for argv in (["audit"], ["audit", str(instance)]):
+            assert run([*argv, "--trials", "50", "--budget", budget]) == 2
+            captured = capsys.readouterr()
+            assert "budget must be at least 1" in captured.err
+            assert captured.out == ""
+
+    def test_violation_exit_4(self, instance, monkeypatch, capsys):
+        # a sandwich that fails on every trial: latency sum above the potential
+        monkeypatch.setattr(
+            verify,
+            "aggregate_metrics",
+            lambda game, state: (Fraction(3, 2), Fraction(1), Fraction(5, 3)),
+        )
+        assert run(["audit", str(instance), "--trials", "5"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_violations"] == len(doc["sandwich"]["violations"]) == 5
+        example = doc["sandwich"]["violations"][0]
+        assert list(example) == [
+            "instance", "state", "latency_sum", "potential", "total_cost"
+        ]
+        assert [example[k] for k in list(example)[2:]] == ["3/2", "1", "5/3"]
+        game, _labels = game_from_dict(example["instance"])
+        assert game_to_dict(game) == game_to_dict(read_instance(str(instance))[0])
+
 
 class TestFlipGen:
     def test_one_gate_circuit(self, tmp_path, capsys):
@@ -458,6 +493,23 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert run(["bench", "--n-list", "a", "--out", str(out)]) == 2
         assert "--n-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "0"], "--seeds must be at least 1"),
+        (["--seeds", "-3"], "--seeds must be at least 1"),
+        (["--n-list", ","], "--n-list names no player count"),
+        (["--n-list", ""], "--n-list names no player count"),
+        (["--workers", "0"], "--workers must be at least 1"),
+        (["--workers", "-2"], "--workers must be at least 1"),
+    ])
+    def test_empty_sweep_or_no_workers_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--n-list", "4", "--seeds", "1", "--resources", "6"]
+        assert run([*argv, *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_instance_file(self, tmp_path):
         assert run(["solve", str(tmp_path / "nope.json")]) == 2

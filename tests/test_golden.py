@@ -9,11 +9,20 @@ for it: y = x1 AND x2, and a one-input circuit with two outputs.  The flip
 digest cases keep only sha256 digests of the game and bundle JSON, because
 their games run to hundreds of kilobytes: seeded circuits with 2-3 inputs
 and 2 outputs, whose bundles hold comparison circuits for both outputs.
+The verifier cases pair fixed command lines with what they printed or
+wrote: `congames audit` JSON for the d=1 and d=2 random games (their state
+spaces exceed the enumeration budget, so the potential-ratio check is
+skipped), for a six-player d=2 game whose ratio is recorded but not
+asserted, and for the default corpus, whose d=1 ratios are asserted; and
+`congames verify --report` JSON for a fixed state of the d=1 game and for
+a two-player game whose report has an infinite ratio.
 Rewrite the fixtures with `PYTHONPATH=src python tests/test_golden.py`, and
 only for an intended change of output.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import tempfile
@@ -22,9 +31,9 @@ from pathlib import Path
 
 import pytest
 
-from congames import SolverConfig, epsilon_br_dynamics, solve
+from congames import CongestionGame, SolverConfig, epsilon_br_dynamics, solve
 from congames.cli import main
-from congames.serialize import read_instance
+from congames.serialize import read_instance, write_instance, write_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -138,10 +147,74 @@ def test_tiered_case_has_several_phases(scheduler):
     assert sum(1 for p in trace.phases if p["moves"] > 0) >= 2
 
 
+# audit output file -> audit arguments, instance files under fixtures/
+AUDIT_CASES = {
+    "random_d1.audit.json": ["random_d1.json", "--trials", "40", "--seed", "1"],
+    "random_d2.audit.json": ["random_d2.json", "--trials", "40", "--seed", "1"],
+    "small_d2.audit.json": ["small_d2.json", "--trials", "40", "--seed", "1"],
+    "default_corpus.audit.json": ["--trials", "100", "--seed", "3"],
+}
+
+
+def audit_output(name):
+    argv = [
+        str(FIXTURES / a) if a.endswith(".json") else a for a in AUDIT_CASES[name]
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["audit", *argv])
+    assert code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_CASES))
+def test_audit_bytes_unchanged(name):
+    recorded = (FIXTURES / name).read_bytes()
+    assert audit_output(name).encode("utf-8") == recorded
+
+
+# Player 0 pays 0 and has a free deviation (0/0 counts as 1); player 1 pays
+# 2 and could move to the free resource (2/0 is infinite).
+ZERO_COST_GAME = CongestionGame([[0], [2]], [[[0], [0]], [[1], [0]]])
+
+# report file -> (instance file under fixtures/ or a game, state)
+VERIFY_CASES = {
+    "random_d1.verify.json": ("random_d1.json", [u % 4 for u in range(16)]),
+    "zero_cost.verify.json": (ZERO_COST_GAME, [0, 0]),
+}
+
+
+def verify_report(name, out_dir):
+    """Run `congames verify --report` on a case; return the report path."""
+    instance, choices = VERIFY_CASES[name]
+    if isinstance(instance, CongestionGame):
+        path = out_dir / "instance.json"
+        write_instance(instance, str(path))
+    else:
+        path = FIXTURES / instance
+    state, report = out_dir / "state.json", out_dir / name
+    write_state(choices, str(state))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", str(path), str(state), "--report", str(report)])
+    assert code == 0
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_report_bytes_unchanged(name, tmp_path):
+    recorded = (FIXTURES / name).read_bytes()
+    assert verify_report(name, tmp_path).read_bytes() == recorded
+
+
 if __name__ == "__main__":
     for name in CASES:
         (FIXTURES / name).write_text(run_case(name).to_json(), encoding="utf-8")
     for name in FLIP_CASES:
         flip_gen(name, FIXTURES)
+    for name in AUDIT_CASES:
+        (FIXTURES / name).write_text(audit_output(name), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         record_digests(Path(tmp))
+        for name in VERIFY_CASES:
+            report = verify_report(name, Path(tmp)).read_bytes()
+            (FIXTURES / name).write_bytes(report)

@@ -176,13 +176,12 @@ class TestBruteMinPotential:
         with pytest.raises(BudgetExceededError):
             brute_min_potential(g, budget=state_space_size(g) - 1)
 
-    def test_budget_env_override(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
         g = random_game(0)
-        monkeypatch.setenv("CONGAMES_ENUM_BUDGET", "1")
-        with pytest.raises(BudgetExceededError):
-            brute_min_potential(g)
-        monkeypatch.setenv("CONGAMES_ENUM_BUDGET", str(state_space_size(g)))
-        brute_min_potential(g)
+        for oracle in (brute_min_potential, enumerate_equilibria):
+            with pytest.raises(ValidationError, match="budget must be at least 1"):
+                oracle(g, budget=budget)
 
 
 class TestEnumerateEquilibria:
