@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -291,7 +292,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK if not bad else EXIT_CONTRACT
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="congames",
         description="Exact-arithmetic congestion game toolkit",

@@ -5,16 +5,29 @@ is ever sampled.  Ratio conventions make the report total even with
 zero-latency resources: 0/0 counts as 1 and positive/0 as infinity.
 
 The enumeration oracles refuse instances whose state space exceeds the
-configured budget instead of falling back to sampling.  `enumerate_equilibria`
-walks the state space as a depth-first search that discards a branch as soon
-as some fully-surrounded player provably has a forbidden improving move; the
-pruning is exact, so the result equals the naive product scan (the test suite
-cross-checks the two).
+configured budget instead of falling back to sampling.  Both are depth-first
+searches in exact integer (or Fraction) arithmetic:
+
+* `enumerate_equilibria` discards a branch as soon as some fully-surrounded
+  player provably has a forbidden improving move.  Whether a player has one
+  depends only on its choice and the loads on its resources, so each verdict
+  is computed once per call and kept in a dict per (player, choice) keyed by
+  those loads.  Each (player, choice) also gets its deviations precomputed
+  once: the current strategy as (column, resource) pairs, every other one as
+  (column, resource, load offset) triples.
+* `brute_min_potential` is a branch and bound: potential terms are never
+  negative, so a branch whose partial potential reaches the best leaf found
+  is cut.
+
+The pruning is exact, so the results equal the naive product scans (the test
+suite cross-checks them against `naive_state_scan`, which stays the
+independent reference).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -121,7 +134,15 @@ def approximation_factor(game: CongestionGame, state: State) -> ApproxReport:
 def brute_min_potential(
     game: CongestionGame, budget: Optional[int] = None
 ) -> tuple[State, Fraction]:
-    """Exhaustive global potential minimum; lexicographically smallest argmin."""
+    """Exhaustive global potential minimum; lexicographically smallest argmin.
+
+    Branch and bound: every table entry a descent adds is >= 0 (non-negative
+    coefficients in standard mode; affine latencies that `_validate` keeps
+    non-negative at loads 1 and n in hardness mode), so a branch whose partial
+    potential already reaches the best leaf cannot end strictly below it.
+    Strategies are tried in index order, so the first leaf at the minimum is
+    the lexicographically smallest argmin.
+    """
     _require_budget(game, budget)
     n = game.n_players
     table = game.latency_table
@@ -132,22 +153,23 @@ def brute_min_potential(
 
     def descend(u: int, phi: Value) -> None:
         nonlocal best, best_choices
-        if u == n:
-            if best is None or phi < best:
-                best = phi
-                best_choices = tuple(choices)
+        if u == n:  # the bound let only a leaf strictly below the best through
+            best = phi
+            best_choices = tuple(choices)
             return
         for idx, strat in enumerate(game.players[u]):
             choices[u] = idx
-            delta = 0
+            total = phi
             for e in strat:
                 loads[e] += 1
-                delta += table[e][loads[e]]
-            descend(u + 1, phi + delta)
+                total += table[e][loads[e]]
+            if best is None or total < best:
+                descend(u + 1, total)
             for e in strat:
                 loads[e] -= 1
 
     descend(0, 0)
+    del descend  # the recursive closure is a reference cycle
     assert best is not None and best_choices is not None
     return State.of(game, best_choices), Fraction(best)
 
@@ -201,64 +223,98 @@ def enumerate_equilibria(
         if sorted(order) != list(range(n)):
             raise ValidationError("order must be a permutation of the players")
     position = {u: i for i, u in enumerate(order)}
-    check_at: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        ready = max((position[v] for v in neighbors[u]), default=0)
-        check_at[max(ready, position[u])].append(u)
-
+    table = game.latency_table
     loads = [0] * game.n_resources
     choices = [0] * n
     results: list[tuple[int, ...]] = []
 
-    table = game.latency_table
-    strat_sets = [
-        [frozenset(strat) for strat in strats] for strats in game.players
+    # plans[u][c]: the (column, resource) pairs of u's strategy c, then every
+    # other strategy as (column, resource, load offset) triples; the offset
+    # is 1 on the resources u would newly join.
+    plans = [
+        [
+            (
+                [(table[e], e) for e in strat],
+                [
+                    [(table[e], e, 0 if e in strat else 1) for e in alt]
+                    for a, alt in enumerate(strats)
+                    if a != c
+                ],
+            )
+            for c, strat in enumerate(strats)
+        ]
+        for strats in game.players
     ]
-    if rho is not None:
-        rho_num, rho_den = rho.numerator, rho.denominator
 
     def violates(u: int) -> bool:
         # Loads on u's resources are final here: all her neighbors are set.
-        strat = game.players[u][choices[u]]
-        current = 0
-        for e in strat:
-            current += table[e][loads[e]]
-        if current == 0 or rho is None:
+        current, alts = plans[u][choices[u]]
+        cost = 0
+        for col, e in current:
+            cost += col[loads[e]]
+        if cost == 0:
             return False
-        in_current = strat_sets[u][choices[u]]
-        threshold = current * rho_den
-        for alt in game.players[u]:
+        threshold = cost * rho_den
+        for alt in alts:
             dev = 0
-            for e in alt:
-                dev += table[e][loads[e] if e in in_current else loads[e] + 1]
+            for col, e, offset in alt:
+                dev += col[loads[e] + offset]
             if dev * rho_num < threshold:
                 return True
         return False
+
+    # checks_at[depth]: the players whose neighborhood is complete once the
+    # player at `depth` is placed, as (player, reader of the loads on its
+    # resources, one verdict dict per choice).  A verdict depends only on the
+    # player's choice and those loads, so each is computed once per call.
+    checks_at: list[list[tuple]] = [[] for _ in range(n)]
+    if rho is not None:  # with rho=None every state qualifies: no checks
+        rho_num, rho_den = rho.numerator, rho.denominator
+        for u, strats in enumerate(game.players):
+            ready = max((position[v] for v in neighbors[u]), default=0)
+            read = operator.itemgetter(*sorted({e for s in strats for e in s}))
+            checks_at[max(ready, position[u])].append((u, read, [{} for _ in strats]))
 
     def descend(depth: int) -> None:
         if depth == n:
             results.append(tuple(choices))
             return
         u = order[depth]
-        checks = check_at[depth]
+        checks = checks_at[depth]
         for idx, strat in enumerate(game.players[u]):
             choices[u] = idx
             for e in strat:
                 loads[e] += 1
-            if not any(violates(w) for w in checks):
+            for w, read, verdicts in checks:
+                seen = verdicts[choices[w]]
+                key = read(loads)
+                verdict = seen.get(key)
+                if verdict is None:
+                    verdict = seen[key] = violates(w)
+                if verdict:
+                    break
+            else:
                 descend(depth + 1)
             for e in strat:
                 loads[e] -= 1
 
     descend(0)
+    del descend  # the recursive closure is a reference cycle
     results.sort()
     return [State.of(game, c) for c in results]
 
 
 @dataclass
 class AuditCheck:
+    """Trials and counterexamples of one identity.
+
+    `skipped` counts the audits that left the check out because the state
+    space exceeds the enumeration budget; it is written only when positive.
+    """
+
     trials: int = 0
     violations: list[dict] = field(default_factory=list)
+    skipped: int = 0
 
     def record(self, holds: bool, game: CongestionGame, state: State, **detail) -> None:
         """Count one trial; when the identity fails, keep a counterexample.
@@ -277,7 +333,10 @@ class AuditCheck:
             )
 
     def to_dict(self) -> dict:
-        return {"trials": self.trials, "violations": self.violations}
+        doc: dict = {"trials": self.trials, "violations": self.violations}
+        if self.skipped:
+            doc["skipped"] = self.skipped
+        return doc
 
 
 @dataclass
@@ -323,6 +382,7 @@ class AuditReport:
         for name, mine in self.checks().items():
             mine.trials += theirs[name].trials
             mine.violations.extend(theirs[name].violations)
+            mine.skipped += theirs[name].skipped
         if other.max_ratio_observed is not None and (
             self.max_ratio_observed is None
             or other.max_ratio_observed > self.max_ratio_observed
@@ -352,6 +412,8 @@ def audit_identities(
     potential against the global minimum: for games of degree <= 1 the ratio
     must stay within 2q/(2-q) = 6; for higher degrees the ratio is only
     recorded, since no concrete constant is available to assert against.
+    When the state space exceeds the enumeration budget there is no global
+    minimum to compare with, and the ratio check counts as skipped.
     """
     if game.mode != "standard":
         raise ValidationError("audits are defined for standard-mode games")
@@ -422,6 +484,7 @@ def audit_identities(
             )
 
     if phi_min is None:
+        report.potential_ratio.skipped = 1
         return report
     q = Fraction(3, 2)
     trace = epsilon_br_dynamics(game, sample_state(game, rng), epsilon=q - 1)

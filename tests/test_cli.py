@@ -5,6 +5,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from congames.serialize import (
     write_state,
 )
 from congames import CongestionGame
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(argv):
@@ -89,6 +92,21 @@ class TestSolve:
         assert run(["solve", str(instance), "--trace", str(t1)]) == 0
         assert run(["solve", str(instance), "--trace", str(t2)]) == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_successive_calls_share_no_options(self, tmp_path):
+        # The parser is built once per process; a later call must not see
+        # the options of an earlier one.
+        assert cli.build_parser() is cli.build_parser()
+        path = str(FIXTURES / "random_d1.json")
+        scan, rand, again = (tmp_path / f"{k}.json" for k in ("scan", "rand", "again"))
+        assert run(["solve", path, "--trace", str(scan)]) == 0
+        assert run([
+            "solve", path, "--scheduler", "random", "--seed", "5",
+            "--trace", str(rand),
+        ]) == 0
+        assert run(["solve", path, "--trace", str(again)]) == 0
+        assert rand.read_bytes() != scan.read_bytes()
+        assert again.read_bytes() == scan.read_bytes()
 
     def test_degree_two_without_theta_exits_2(self, tmp_path, capsys):
         path = tmp_path / "d2.json"

@@ -12,7 +12,7 @@ and 2 outputs, whose bundles hold comparison circuits for both outputs.
 The verifier cases pair fixed command lines with what they printed or
 wrote: `congames audit` JSON for the d=1 and d=2 random games (their state
 spaces exceed the enumeration budget, so the potential-ratio check is
-skipped), for a six-player d=2 game whose ratio is recorded but not
+skipped and marked so), for a six-player d=2 game whose ratio is recorded but not
 asserted, and for the default corpus, whose d=1 ratios are asserted; and
 `congames verify --report` JSON for a fixed state of the d=1 game and for
 a two-player game whose report has an infinite ratio.

@@ -1,5 +1,6 @@
 """Exact verification, brute-force oracles, and the randomized audits."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction as F
@@ -224,6 +225,97 @@ class TestEnumerateEquilibria:
             enumerate_equilibria(g, rho=1, budget=2)
 
 
+@st.composite
+def latencies(draw, kind, n_res, n):
+    """Coefficient lists, lowest degree first, for one of five latency kinds.
+
+    "hardness" draws decreasing affine latencies that stay >= 0 up to load n;
+    "quadratic" draws d = 2 latencies with fractional coefficients; "zero"
+    and "constant" make ties common.
+    """
+    if kind == "zero":
+        return [[0]] * n_res
+    if kind == "constant":
+        return [[draw(st.integers(0, 2))] for _ in range(n_res)]
+    if kind == "linear":
+        return [draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)) for _ in range(n_res)]
+    if kind == "hardness":
+        out = []
+        for _ in range(n_res):
+            slope, floor = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
+            out.append([floor - slope * n, slope])
+        return out
+    fraction = st.builds(F, st.integers(0, 4), st.sampled_from([1, 2, 3]))
+    return [draw(st.lists(fraction, min_size=3, max_size=3)) for _ in range(n_res)]
+
+
+@st.composite
+def crowded_games(draw, kinds, players=(5, 7), resources=(2, 3), strategies=2):
+    """Many players on few resources, so load vectors repeat within a search."""
+    kind = draw(st.sampled_from(kinds))
+    n_res = draw(st.integers(*resources))
+    n = draw(st.integers(*players))
+    strategy = st.lists(st.integers(0, n_res - 1), min_size=1, max_size=n_res)
+    strats = st.lists(strategy, min_size=1, max_size=strategies)
+    mode = "hardness" if kind == "hardness" else "standard"
+    return CongestionGame(
+        draw(latencies(kind, n_res, n)),
+        [draw(strats) for _ in range(n)],
+        mode=mode,
+    )
+
+
+class TestOraclesAgainstScans:
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_games(["linear", "hardness", "quadratic"]), st.data())
+    def test_enumeration_matches_naive_scan(self, game, data):
+        order = data.draw(st.permutations(range(game.n_players)))
+        for rho in (F(1), F(3, 2), F(2), None):
+            slow = [s.choices for s in naive_state_scan(game, rho)]
+            for o in (None, order):
+                fast = enumerate_equilibria(game, rho=rho, order=o)
+                assert [s.choices for s in fast] == slow
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        crowded_games(
+            ["zero", "constant", "linear", "hardness", "quadratic"],
+            players=(2, 5),
+            resources=(1, 4),
+            strategies=3,
+        )
+    )
+    def test_brute_matches_product_scan(self, game):
+        state, phi = brute_min_potential(game)
+        ranked = [
+            (game.potential(game.state(c)), c)
+            for c in itertools.product(*[range(len(p)) for p in game.players])
+        ]
+        assert (phi, state.choices) == min(ranked)
+
+
+class TestOraclesLeaveNoCycles:
+    def test_no_cyclic_garbage_after_each_call(self):
+        # Anything an oracle leaves in a reference cycle (its recursive search
+        # closure and all it captures, the verdict cache included) would live
+        # until the cyclic collector runs.
+        g = random_game(3, n=5)
+        calls = [
+            lambda: brute_min_potential(g),
+            lambda: enumerate_equilibria(g, rho=1),
+            lambda: enumerate_equilibria(g, rho=F(3, 2), order=[4, 3, 2, 1, 0]),
+            lambda: enumerate_equilibria(g, rho=None),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestAuditIdentities:
     def test_zero_violations_on_linear_corpus(self):
         total = AuditReport()
@@ -255,6 +347,19 @@ class TestAuditIdentities:
             "potential_ratio",
             "total_violations",
         }
+
+    def test_ratio_check_skipped_over_budget(self):
+        g = random_game(6)
+        over = audit_identities(g, seed=2, trials=5, budget=state_space_size(g) - 1)
+        assert over.potential_ratio.to_dict() == {
+            "trials": 0, "violations": [], "skipped": 1
+        }
+        within = audit_identities(g, seed=2, trials=5)
+        assert within.potential_ratio.skipped == 0
+        assert "skipped" not in within.to_dict()["potential_ratio"]
+        within.merge(over)
+        over.merge(over)
+        assert (within.potential_ratio.skipped, over.potential_ratio.skipped) == (1, 2)
 
     def test_requires_standard_mode(self):
         g = CongestionGame([[-1, 1]], [[[0]]], mode="hardness")
