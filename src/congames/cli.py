@@ -2,8 +2,9 @@
 
 Commands: gen, solve, verify, brute, audit, flip-gen, bench.  Machine-facing
 output always prints rationals exactly (p/q), never as floats.  Exit codes:
-0 success, 2 validation/config error, 3 enumeration budget refusal,
-4 contract violation (move-cap breach or a missed guarantee).
+0 success; 4 when a command's own check fails (a missed guarantee or a failed
+structural check); for a library error, the `exit_code` of its class (the
+table is in `errors`); 2 for a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -23,18 +24,10 @@ from typing import Optional
 from . import generators, hardness, serialize, solver, verify
 from .core import CongestionGame, State, digit_limit, to_fraction
 from .dynamics import RunTrace
-from .errors import (
-    BudgetExceededError,
-    ContractViolationError,
-    GenerationError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import CongestionGameError, ContractViolationError, ValidationError
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_BUDGET = 3
-EXIT_CONTRACT = 4
+EXIT_CONTRACT = ContractViolationError.exit_code
 
 
 def _parse_rho(text: str) -> Optional[Fraction]:
@@ -92,7 +85,7 @@ def cmd_solve(args) -> int:
     game, _labels = serialize.read_instance(args.instance)
     config = solver.SolverConfig(
         psi=args.psi,
-        theta_override=None if args.theta is None else to_fraction(args.theta),
+        theta_override=args.theta,
         move_cap=args.move_cap,
         scheduler=args.scheduler,
         seed=args.seed,
@@ -173,17 +166,11 @@ def cmd_audit(args) -> int:
 def cmd_flip_gen(args) -> int:
     circuit = hardness.read_flip_instance(args.circuit)
     bundle = hardness.derive_subcircuits(circuit)
-    params = hardness.GadgetParams.for_bundle(
-        bundle, rho=to_fraction(args.rho), alpha=args.alpha
-    )
     # The largest value the builder writes decides up front whether the
     # game fits in JSON; the limit is 0 where there is none.
-    limit = digit_limit()
-    if limit and params.largest_value >= 10**limit:
-        raise ValidationError(
-            f"the game's largest value, M^5, has more than {limit} digits, "
-            "the limit of sys.set_int_max_str_digits"
-        )
+    params = hardness.GadgetParams.for_bundle(
+        bundle, rho=to_fraction(args.rho), alpha=args.alpha, max_digits=digit_limit()
+    )
     game, labels = hardness.build_flip_game(bundle, params)
     report = hardness.structural_check(game)
     serialize.write_instance(game, args.out, labels=labels)
@@ -198,28 +185,15 @@ def cmd_flip_gen(args) -> int:
     return EXIT_OK if report.passed else EXIT_CONTRACT
 
 
-def _bench_one(task: tuple) -> dict:
-    n, seed, d, psi, resources, strategies, coeff_max, theta = task
-    spec = generators.GenSpec(
-        seed=seed,
-        n_players=n,
-        n_resources=resources,
-        strategies_per_player=strategies,
-        strategy_size=(1, min(3, resources)),
-        degree=d,
-        coeff_range=(0, coeff_max),
-    )
+def _bench_one(task: tuple[generators.GenSpec, solver.SolverConfig]) -> dict:
+    spec, config = task
     game = generators.generate(spec)
-    config = solver.SolverConfig(
-        psi=psi,
-        theta_override=None if theta is None else to_fraction(theta),
-    )
     trace, report, bound_str, ok, elapsed = _solve_and_verify(game, config)
     return {
-        "n": n,
-        "d": d,
-        "psi": psi,
-        "seed": seed,
+        "n": spec.n_players,
+        "d": spec.degree,
+        "psi": config.psi,
+        "seed": spec.seed,
         "moves": trace.n_moves,
         "phases": len(trace.phases or []),
         "ms": int(elapsed * 1000),
@@ -227,24 +201,9 @@ def _bench_one(task: tuple) -> dict:
         "bound": bound_str,
         "ok": str(ok).lower(),
         "move_bound": serialize.format_rational(
-            solver.move_bound(n, max(1, game.degree), psi)
+            solver.move_bound(spec.n_players, max(1, game.degree), config.psi)
         ),
     }
-
-
-BENCH_COLUMNS = [
-    "n",
-    "d",
-    "psi",
-    "seed",
-    "moves",
-    "phases",
-    "ms",
-    "rho_star",
-    "bound",
-    "ok",
-    "move_bound",
-]
 
 
 def cmd_bench(args) -> int:
@@ -261,14 +220,16 @@ def cmd_bench(args) -> int:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
     tasks = [
         (
-            n,
-            seed,
-            args.d,
-            args.psi,
-            args.resources,
-            args.strategies,
-            args.coeff_max,
-            args.theta,
+            generators.GenSpec(
+                seed=seed,
+                n_players=n,
+                n_resources=args.resources,
+                strategies_per_player=args.strategies,
+                strategy_size=(1, min(3, args.resources)),
+                degree=args.d,
+                coeff_range=(0, args.coeff_max),
+            ),
+            solver.SolverConfig(psi=args.psi, theta_override=args.theta),
         )
         for n in ns
         for seed in range(args.seed0, args.seed0 + args.seeds)
@@ -282,7 +243,7 @@ def cmd_bench(args) -> int:
         rows = [_bench_one(t) for t in tasks]
     # Write the text in full before opening, so a failure leaves no file.
     text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
@@ -380,18 +341,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParameterError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetExceededError as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ContractViolationError as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+    except CongestionGameError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return ValidationError.exit_code
 
 
 if __name__ == "__main__":

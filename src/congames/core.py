@@ -91,7 +91,9 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 
 def to_index(value) -> int:
-    """Coerce an integral value (3, 3.0) to int; reject 1.5, "3", None."""
+    """Coerce an integral value (3, 3.0) to int; reject 1.5, "3", None, True."""
+    if isinstance(value, bool):
+        raise ValidationError(f"not an integer index: {value!r}")
     try:
         if int(value) == value:
             return int(value)

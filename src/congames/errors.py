@@ -1,14 +1,18 @@
 """Exception taxonomy shared by the library and the command line front end.
 
-Exit-code mapping used by the CLI:
-  2 -> ValidationError, ParameterError, GenerationError (bad input / config)
-  3 -> BudgetExceededError (instance too large for an exhaustive oracle)
-  4 -> ContractViolationError (an internal guarantee failed; indicates a bug)
+The CLI's exit code and stderr label for each error are the class attributes
+`exit_code` and `label`; this is the only place that table is written:
+  2 "error"              ValidationError, ParameterError, GenerationError
+  3 "budget refused"     BudgetExceededError
+  4 "contract violation" ContractViolationError (a guarantee failed: a bug)
 """
 
 
 class CongestionGameError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 class ValidationError(CongestionGameError):
@@ -22,9 +26,15 @@ class ParameterError(CongestionGameError):
 class BudgetExceededError(CongestionGameError):
     """An exhaustive enumeration would exceed the configured state budget."""
 
+    exit_code = 3
+    label = "budget refused"
+
 
 class ContractViolationError(CongestionGameError):
     """A bound that is supposed to be a theorem was breached at runtime."""
+
+    exit_code = 4
+    label = "contract violation"
 
 
 class GenerationError(CongestionGameError):

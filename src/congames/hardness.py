@@ -490,7 +490,13 @@ class GadgetParams:
         bundle: Bundle,
         rho: Fraction = Fraction(2),
         alpha: Optional[int] = None,
+        max_digits: int = 0,
     ) -> "GadgetParams":
+        """The ladder for `bundle`; alpha defaults to max(2, ceil(rho)).
+
+        With `max_digits` > 0, a ladder whose largest value M^5 has more than
+        that many digits is refused before any of it is built.
+        """
         rho = to_fraction(rho)
         if rho < 1:
             raise ValidationError(f"rho must be >= 1, got {rho}")
@@ -502,6 +508,21 @@ class GadgetParams:
             raise ValidationError(
                 f"alpha must be an integer >= max(rho, 2), got {alpha}"
             )
+        if max_digits:
+            # M = 2^(m+1) * alpha^(6 + (2K+2)(m+1)), so M^5 = 2^twos * alpha^power
+            # >= 2^(twos + power * (bits - 1)): the bit lengths refuse a far too
+            # large M^5 at once; otherwise it has under twice the cap's bits
+            # and is cheap to compare exactly.
+            twos, power = 5 * (m + 1), 5 * (6 + (2 * k_total + 2) * (m + 1))
+            cap = 10**max_digits
+            if (
+                twos + power * (alpha.bit_length() - 1) >= cap.bit_length()
+                or 2**twos * alpha**power >= cap
+            ):
+                raise ValidationError(
+                    f"the game's largest value, M^5, has more than {max_digits} "
+                    "digits, the limit of sys.set_int_max_str_digits"
+                )
         beta = alpha ** (2 * k_total + 1)
         gamma = 2 * alpha * beta
         big_m = alpha**6 * gamma ** (m + 1)

@@ -164,12 +164,8 @@ def partition_blocks(
     block_of: dict[int, int] = {}
     blocks: list[list[int]] = [[] for _ in range(m)]
     for u, ell in sorted(positive.items()):
-        i = 1
-        bound = ell_max / base
-        while ell <= bound:
-            i += 1
-            bound /= base
-        if i > m:
+        i = next((i for i in range(1, m + 1) if ell > boundaries[i]), None)
+        if i is None:
             raise ContractViolationError(
                 f"player {u} fell below block {m}: ell={ell}"
             )

@@ -12,9 +12,7 @@ searches in exact integer (or Fraction) arithmetic:
   player provably has a forbidden improving move.  Whether a player has one
   depends only on its choice and the loads on its resources, so each verdict
   is computed once per call and kept in a dict per (player, choice) keyed by
-  those loads.  Each (player, choice) also gets its deviations precomputed
-  once: the current strategy as (column, resource) pairs, every other one as
-  (column, resource, load offset) triples.
+  the loads on the resources it shares with other players.
 * `brute_min_potential` is a branch and bound: potential terms are never
   negative, so a branch whose partial potential reaches the best leaf found
   is cut.
@@ -228,51 +226,39 @@ def enumerate_equilibria(
     choices = [0] * n
     results: list[tuple[int, ...]] = []
 
-    # plans[u][c]: the (column, resource) pairs of u's strategy c, then every
-    # other strategy as (column, resource, load offset) triples; the offset
-    # is 1 on the resources u would newly join.
-    plans = [
-        [
-            (
-                [(table[e], e) for e in strat],
-                [
-                    [(table[e], e, 0 if e in strat else 1) for e in alt]
-                    for a, alt in enumerate(strats)
-                    if a != c
-                ],
-            )
-            for c, strat in enumerate(strats)
-        ]
-        for strats in game.players
-    ]
-
     def violates(u: int) -> bool:
         # Loads on u's resources are final here: all her neighbors are set.
-        current, alts = plans[u][choices[u]]
+        current = game.players[u][choices[u]]
         cost = 0
-        for col, e in current:
-            cost += col[loads[e]]
+        for e in current:
+            cost += table[e][loads[e]]
         if cost == 0:
             return False
         threshold = cost * rho_den
-        for alt in alts:
+        for alt in game.players[u]:
+            if alt is current:
+                continue
             dev = 0
-            for col, e, offset in alt:
-                dev += col[loads[e] + offset]
+            for e in alt:
+                dev += table[e][loads[e] if e in current else loads[e] + 1]
             if dev * rho_num < threshold:
                 return True
         return False
 
     # checks_at[depth]: the players whose neighborhood is complete once the
     # player at `depth` is placed, as (player, reader of the loads on its
-    # resources, one verdict dict per choice).  A verdict depends only on the
-    # player's choice and those loads, so each is computed once per call.
+    # shared resources, one verdict dict per choice).  A verdict depends only
+    # on the player's choice and those loads (the choice alone fixes the load
+    # on a resource no other player can use), so each is computed once per
+    # call.
     checks_at: list[list[tuple]] = [[] for _ in range(n)]
     if rho is not None:  # with rho=None every state qualifies: no checks
         rho_num, rho_den = rho.numerator, rho.denominator
+        users = game.users
         for u, strats in enumerate(game.players):
             ready = max((position[v] for v in neighbors[u]), default=0)
-            read = operator.itemgetter(*sorted({e for s in strats for e in s}))
+            shared = sorted({e for s in strats for e in s if len(users[e]) > 1})
+            read = operator.itemgetter(*shared) if shared else lambda loads: ()
             checks_at[max(ready, position[u])].append((u, read, [{} for _ in strats]))
 
     def descend(depth: int) -> None:

@@ -220,13 +220,19 @@ class TestMalformedInput:
         }))
         return path
 
-    @pytest.mark.parametrize("strategies", [[["a"]], [[1.5]], [[0], [1.5]], 3])
+    @pytest.mark.parametrize(
+        "strategies", [[["a"]], [[1.5]], [[0], [1.5]], 3, [[True]]]
+    )
     def test_bad_strategy_exit_2(self, tmp_path, capsys, strategies):
+        # `brute`, not `solve`: solve refuses any two-player game here as
+        # too small for psi, with exit 2 of its own.
         path = self.write_instance_doc(tmp_path, strategies)
-        assert run(["solve", str(path)]) == 2
+        assert run(["brute", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("state", [[0, "x"], 3, [0, 1.5], [1.0, 0.5]])
+    @pytest.mark.parametrize(
+        "state", [[0, "x"], 3, [0, 1.5], [1.0, 0.5], [True, False]]
+    )
     def test_bad_state_exit_2(self, tmp_path, game_file, capsys, state):
         st = tmp_path / "s.json"
         st.write_text(json.dumps({"state": state}))
@@ -329,6 +335,27 @@ class TestEmptyAndOversizedInput:
         assert run(argv) == 2
         assert "more than 4300 digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--rho"])
+    def test_flip_gen_digit_limit_checked_before_ladder(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        def evaluated(*args):
+            raise AssertionError("the scale ladder or M^5 was computed")
+
+        monkeypatch.setattr(hardness.GadgetParams, "__post_init__", evaluated)
+        monkeypatch.setattr(hardness.GadgetParams, "largest_value", property(evaluated))
+        # 4 inputs, a NAND chain of 30 gates, 3 outputs: 591 bundle gates.
+        gates = [(("x", 0), ("x", 1))]
+        gates += [(("g", k - 1), ("x", k % 4)) for k in range(1, 30)]
+        circ = tmp_path / "circ.json"
+        circ.write_text(json.dumps(
+            flip_instance_to_dict(FlipInstance(4, gates, [27, 28, 29]))
+        ))
+        out = tmp_path / "game.json"
+        argv = ["flip-gen", str(circ), flag, str(10**1000), "--out", str(out)]
+        assert run(argv) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit"
     )
@@ -418,6 +445,7 @@ class TestFlipGen:
         '{"inputs": "x", "gates": [{"a": {"x": 0}, "b": {"x": 1}}], "outputs": [0]}',
         '{"inputs": 2, "gates": [{"a": {"y": 0}, "b": {"x": 1}}], "outputs": [0]}',
         '{"inputs": 2, "gates": [',
+        '{"inputs": 2, "gates": [{"a": {"x": true}, "b": {"x": 1}}], "outputs": [0]}',
     ])
     def test_malformed_circuit_exit_2(self, tmp_path, capsys, text):
         circ = tmp_path / "circ.json"
@@ -531,3 +559,37 @@ class TestBench:
 
     def test_missing_instance_file(self, tmp_path):
         assert run(["solve", str(tmp_path / "nope.json")]) == 2
+
+
+class TestExitCodeContract:
+    """One input per error source: the exit code and the stderr prefix."""
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        # ValidationError
+        (["verify", "random_d1.json", "state.json", "--rho", "1/2"], 2, "error: "),
+        # ParameterError
+        (["solve", "random_d2.json"], 2, "error: "),
+        # GenerationError
+        (["gen", "--seed", "1", "--n", "3", "--resources", "1",
+          "--strategies", "3", "--size-max", "1", "--out", "OUT"], 2, "error: "),
+        # BudgetExceededError
+        (["brute", "random_d1.json"], 3, "budget refused: "),
+        # ContractViolationError
+        (["solve", "random_d1.json", "--move-cap", "0"], 4, "contract violation: "),
+        # OSError
+        (["solve", "nope.json"], 2, "error: "),
+    ])
+    def test_exit_code_and_prefix(self, tmp_path, capsys, argv, code, prefix):
+        st = tmp_path / "s.json"
+        write_state([0] * 16, str(st))
+        paths = {
+            "random_d1.json": str(FIXTURES / "random_d1.json"),
+            "random_d2.json": str(FIXTURES / "random_d2.json"),
+            "state.json": str(st),
+            "nope.json": str(tmp_path / "nope.json"),
+            "OUT": str(tmp_path / "out.json"),
+        }
+        assert run([paths.get(arg, arg) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix)
+        assert captured.out == ""

@@ -123,3 +123,14 @@ def test_verify_malformed_instance_or_state(data):
         files["state.json"] = _document(STATE, data)
     argv = ["verify", "instance.json", "state.json", "--rho", "2"]
     assert _run(files, argv) in EXIT_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_brute_and_audit_malformed_instance(data):
+    files = {"instance.json": _document(INSTANCE, data)}
+    argv = data.draw(st.sampled_from([
+        ["brute", "instance.json"],
+        ["audit", "instance.json", "--trials", "3"],
+    ]))
+    assert _run(files, argv) in EXIT_CODES
