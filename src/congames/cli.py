@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import generators, hardness, serialize, solver, verify
-from .core import CongestionGame, State, digit_limit, to_fraction
+from .core import CongestionGame, State, to_fraction
 from .dynamics import RunTrace
 from .errors import CongestionGameError, ContractViolationError, ValidationError
 
@@ -166,10 +166,8 @@ def cmd_audit(args) -> int:
 def cmd_flip_gen(args) -> int:
     circuit = hardness.read_flip_instance(args.circuit)
     bundle = hardness.derive_subcircuits(circuit)
-    # The largest value the builder writes decides up front whether the
-    # game fits in JSON; the limit is 0 where there is none.
     params = hardness.GadgetParams.for_bundle(
-        bundle, rho=to_fraction(args.rho), alpha=args.alpha, max_digits=digit_limit()
+        bundle, rho=to_fraction(args.rho), alpha=args.alpha
     )
     game, labels = hardness.build_flip_game(bundle, params)
     report = hardness.structural_check(game)

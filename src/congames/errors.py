@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the library and the command line front end.
 
 The CLI's exit code and stderr label for each error are the class attributes
-`exit_code` and `label`; this is the only place that table is written:
+`exit_code` and `label`; the README and the `cli` docstring point to this
+copy of the table:
   2 "error"              ValidationError, ParameterError, GenerationError
   3 "budget refused"     BudgetExceededError
   4 "contract violation" ContractViolationError (a guarantee failed: a bug)

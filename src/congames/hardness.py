@@ -38,7 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import CongestionGame, LatencyFunction, to_fraction, to_index
+from .core import (
+    CongestionGame,
+    LatencyFunction,
+    digit_limit,
+    to_fraction,
+    to_index,
+)
 from .errors import ValidationError
 from .serialize import load_json
 
@@ -490,12 +496,12 @@ class GadgetParams:
         bundle: Bundle,
         rho: Fraction = Fraction(2),
         alpha: Optional[int] = None,
-        max_digits: int = 0,
     ) -> "GadgetParams":
         """The ladder for `bundle`; alpha defaults to max(2, ceil(rho)).
 
-        With `max_digits` > 0, a ladder whose largest value M^5 has more than
-        that many digits is refused before any of it is built.
+        A ladder whose largest value M^5 has more digits than the
+        `core.digit_limit` cannot be written and raises ValidationError;
+        one far over the limit is refused before any of it is built.
         """
         rho = to_fraction(rho)
         if rho < 1:
@@ -508,25 +514,22 @@ class GadgetParams:
             raise ValidationError(
                 f"alpha must be an integer >= max(rho, 2), got {alpha}"
             )
-        if max_digits:
-            # M = 2^(m+1) * alpha^(6 + (2K+2)(m+1)), so M^5 = 2^twos * alpha^power
-            # >= 2^(twos + power * (bits - 1)): the bit lengths refuse a far too
-            # large M^5 at once; otherwise it has under twice the cap's bits
-            # and is cheap to compare exactly.
-            twos, power = 5 * (m + 1), 5 * (6 + (2 * k_total + 2) * (m + 1))
-            cap = 10**max_digits
-            if (
-                twos + power * (alpha.bit_length() - 1) >= cap.bit_length()
-                or 2**twos * alpha**power >= cap
-            ):
-                raise ValidationError(
-                    f"the game's largest value, M^5, has more than {max_digits} "
-                    "digits, the limit of sys.set_int_max_str_digits"
-                )
+        # M = alpha^6 * gamma^(m+1) = 2^twos * alpha^power, so
+        # M^5 >= 2^(5 (twos + power (bits - 1))): the bit lengths refuse a far
+        # too large M^5 at once; otherwise it has under twice the limit's bits
+        # and is cheap to build and compare exactly.
+        twos, power = m + 1, 6 + (2 * k_total + 2) * (m + 1)
+        limit = digit_limit()
+        if limit and 5 * (twos + power * (alpha.bit_length() - 1)) >= (
+            10**limit
+        ).bit_length():
+            raise _over_digit_limit(limit)
         beta = alpha ** (2 * k_total + 1)
         gamma = 2 * alpha * beta
-        big_m = alpha**6 * gamma ** (m + 1)
-        return cls(rho, alpha, k_total, m, beta, gamma, big_m)
+        params = cls(rho, alpha, k_total, m, beta, gamma, 2**twos * alpha**power)
+        if limit and params.largest_value >= 10**limit:
+            raise _over_digit_limit(limit)
+        return params
 
     def __post_init__(self):
         if not self.alpha < self.beta < self.gamma < self.big_m:
@@ -539,6 +542,13 @@ class GadgetParams:
     def largest_value(self) -> int:
         """M^5, the largest latency value `build_flip_game` writes."""
         return self.big_m**5
+
+
+def _over_digit_limit(limit: int) -> ValidationError:
+    return ValidationError(
+        f"the game's largest value, M^5, has more than {limit} digits, "
+        "the limit of sys.set_int_max_str_digits"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,9 @@ class TestEmptyAndOversizedInput:
         ))
         out = tmp_path / "game.json"
         argv = ["flip-gen", str(circ), flag, str(10**1000), "--out", str(out)]
+        start = time.perf_counter()
         assert run(argv) == 2
+        assert time.perf_counter() - start < 1
         assert "more than 4300 digits" in capsys.readouterr().err
 
     @pytest.mark.skipif(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -170,24 +171,33 @@ class TestGadgetParams:
         written = max(max(f.eval(1), f.eval(2)) for f in game.resources)
         assert written == params.largest_value == params.big_m**5
 
-    def test_max_digits_refuses_exactly_the_ladders_over_it(self):
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit"
+    )
+    def test_digit_limit_refuses_exactly_the_ladders_over_it(self):
         bundle = derive_subcircuits(NAND_XY)
 
         def over(alpha):
-            return GadgetParams.for_bundle(bundle, alpha=alpha).largest_value >= 10**300
+            return GadgetParams.for_bundle(bundle, alpha=alpha).largest_value >= 10**640
 
-        lo, hi = 2, 4  # bisect for the smallest alpha whose M^5 has 301 digits
+        lo, hi = 2, 4  # bisect for the smallest alpha whose M^5 has 641 digits
         while not over(hi):
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if over(mid) else (mid, hi)
-        for alpha in (2, hi - 1, hi, 2 * hi, hi**3):
-            if over(alpha):
-                with pytest.raises(ValidationError, match="more than 300 digits"):
-                    GadgetParams.for_bundle(bundle, alpha=alpha, max_digits=300)
-            else:
-                GadgetParams.for_bundle(bundle, alpha=alpha, max_digits=300)
+        cases = [(alpha, over(alpha)) for alpha in (2, hi - 1, hi, 2 * hi, hi**3)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit Python allows
+        try:
+            for alpha, is_over in cases:
+                if is_over:
+                    with pytest.raises(ValidationError, match="more than 640 digits"):
+                        GadgetParams.for_bundle(bundle, alpha=alpha)
+                else:
+                    GadgetParams.for_bundle(bundle, alpha=alpha)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDeriveSubcircuits:
