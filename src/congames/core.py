@@ -83,6 +83,10 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         try:
             if isinstance(value, str):
+                # Plain ASCII digits skip Fraction's regex parser; int() still
+                # raises ValueError beyond the digit limit.
+                if value.isascii() and value.isdigit():
+                    return Fraction(int(value))
                 _check_exponent(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -92,6 +96,8 @@ def to_fraction(value: RationalLike) -> Fraction:
 
 def to_index(value) -> int:
     """Coerce an integral value (3, 3.0) to int; reject 1.5, "3", None, True."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise ValidationError(f"not an integer index: {value!r}")
     try:
@@ -100,6 +106,14 @@ def to_index(value) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"not an integer index: {value!r}")
+
+
+def to_integer(value, name: str) -> int:
+    """`to_index` for a named parameter; True, 2.5 and "5" raise ValidationError."""
+    try:
+        return to_index(value)
+    except ValidationError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ Every executed move logs exact before/after costs and potentials; the
 potential difference equals the cost difference move by move.
 
 Best responses compare the unwrapped table sums of `cost_sums` (ints for
-integral games) and the threshold test is one cross-multiplication.  Both
+integral games).  A threshold check asks for the best response first: when it
+is the current strategy there is no move, and the current cost is never read.
+Otherwise the test is one cross-multiplication of integers.  Both
 `epsilon_br_dynamics` and the phased solver drive a `Walk`, which owns the
 current state and potential, the move log and the threshold results: a
 player's threshold answer is recomputed only after a move changed the load on
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Optional
 
-from .core import CongestionGame, State, to_fraction
+from .core import CongestionGame, State, to_fraction, to_integer
 from .errors import ValidationError
 from .serialize import format_rational, json_text, write_json
 
@@ -144,15 +146,18 @@ def find_threshold_move(
     """Best response of u if it improves on the current cost by more than q.
 
     Returns (strategy index, new cost) when best_cost < current_cost / q
-    strictly, else None.  A zero-cost player never has a threshold move.
+    strictly, else None.  The best response comes first: when it is u's
+    current strategy, no deviation beats the current cost at all, so none
+    beats it by q >= 1.  Only otherwise is the current cost read.  A tie won
+    by a lower index and a zero-cost player fail the strict test below.
     """
     q = to_fraction(q)
-    if q < 1:
+    if q.numerator < q.denominator:
         raise ValidationError(f"threshold factor must be >= 1, got {q}")
-    current = game.player_cost(state, u)
-    if current == 0:
-        return None
     idx, cost = best_response(game, state, u)
+    if idx == state.choices[u]:
+        return None
+    current = game.player_cost(state, u)
     # cost < current / q, cross-multiplied in integers; cost and current have
     # denominator 1 when the game's latencies are integral.
     if (
@@ -251,11 +256,13 @@ def epsilon_br_dynamics(
     full best response.  Stops when a whole sweep finds no move, or the cap
     is hit (the trace is then flagged truncated, which is not an error).
     The sweeps drive one `Walk`, so a player no move has touched since her
-    last check is not checked again.  `move_cap` must be at least 1.
+    last check is not checked again.  `move_cap` must be an integer of at
+    least 1.
     """
     epsilon = to_fraction(epsilon)
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    move_cap = to_integer(move_cap, "move_cap")
     if move_cap < 1:
         raise ValidationError(f"move_cap must be at least 1, got {move_cap}")
     if game.mode != "standard":

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .core import CongestionGame, State, to_fraction
+from .core import CongestionGame, State, to_fraction, to_integer
 from .dynamics import RunTrace, Walk, optimistic_cost
 from .errors import ContractViolationError, ParameterError, ValidationError
 from .serialize import format_rational
@@ -46,6 +46,8 @@ class SolverConfig:
     must exceed 1.  The default scheduler "scan" picks the lowest-index
     eligible block-i player, else the lowest-index eligible block-(i+1)
     player; "random" picks uniformly among all eligible players using `seed`.
+    psi and move_cap must be integers (3.0 becomes 3; True and 2.5 are
+    refused).
     """
 
     psi: int = 1
@@ -55,8 +57,10 @@ class SolverConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.psi, int) or self.psi < 1:
+        psi = to_integer(self.psi, "psi")
+        if psi < 1:
             raise ValidationError(f"psi must be a positive integer, got {self.psi!r}")
+        object.__setattr__(self, "psi", psi)
         if self.theta_override is not None:
             override = to_fraction(self.theta_override)
             if override <= 1:
@@ -68,8 +72,11 @@ class SolverConfig:
             raise ValidationError(
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
             )
-        if self.move_cap is not None and self.move_cap < 0:
-            raise ValidationError("move_cap must be non-negative")
+        if self.move_cap is not None:
+            cap = to_integer(self.move_cap, "move_cap")
+            if cap < 0:
+                raise ValidationError("move_cap must be non-negative")
+            object.__setattr__(self, "move_cap", cap)
 
 
 def theta(d: int, q: Fraction, override: Optional[Fraction] = None) -> Fraction:

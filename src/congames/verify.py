@@ -106,19 +106,18 @@ def approximation_factor(game: CongestionGame, state: State) -> ApproxReport:
     """Exhaustive worst improvement ratio over all players and deviations.
 
     All ratios of one player share the numerator, the player's cost, so the
-    worst is that cost over the cheapest deviation, found by comparing
-    deviation costs (integer cross-multiplication); the witness is the first
-    worst pair in (player, strategy) order.  The current strategy is among
-    the deviations, so a cheapest deviation of 0 means 0/0 = 1 or
-    positive/0 = infinity.
+    worst is that cost over the cheapest deviation: the first argmin of the
+    player's integer `cost_sums`.  Only the player's cost and that deviation's
+    cost become Fractions.  The witness is the first worst pair in (player, strategy) order.  The current
+    strategy is among the deviations, so a cheapest deviation of 0 means
+    0/0 = 1 or positive/0 = infinity.
     """
     pairs: list[tuple[Optional[Fraction], tuple[int, int]]] = []
     for u in range(game.n_players):
+        sums = game.cost_sums(state, u)
+        alt = sums.index(min(sums))
         cur = game.player_cost(state, u)
-        low, alt = min(
-            (game.deviation_cost(state, u, a), a)
-            for a in range(len(game.players[u]))
-        )
+        low = game.deviation_cost(state, u, alt)
         if low:
             ratio: Optional[Fraction] = cur / low
         else:

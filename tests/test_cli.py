@@ -278,6 +278,12 @@ class TestEmptyAndOversizedInput:
         assert time.perf_counter() - start < 1
         assert "4300-digit limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "brute"])
+    def test_integer_coefficient_beyond_digit_limit(self, tmp_path, capsys, command):
+        path = self.write_doc(tmp_path, [["0", "1" * 4301]], [[[0]], [[0]]])
+        assert run([command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_solve_trace_beyond_digit_limit(self, tmp_path, capsys):
         big = "9" * 4300
         path = self.write_doc(

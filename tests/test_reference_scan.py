@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congames import CongestionGame, SolverConfig, epsilon_br_dynamics, solve
-from congames.dynamics import MoveRecord, RunTrace, optimistic_cost
+from congames.dynamics import (
+    MoveRecord,
+    RunTrace,
+    find_threshold_move,
+    optimistic_cost,
+)
 from congames.errors import ContractViolationError, ParameterError
 from congames.serialize import format_rational, read_instance
 from congames.solver import (
@@ -229,6 +234,60 @@ def tiered_games(draw):
         alternatives = draw(st.lists(alternative, min_size=1, max_size=3))
         players.append([[hubs[t]], *alternatives])
     return CongestionGame(resources, players)
+
+
+@st.composite
+def tie_games(draw):
+    """Few resources and fractional, possibly zero, coefficients.
+
+    Players often hold two strategies of equal cost (identical resource sets
+    among them), so a current strategy ties with a lower-index best response,
+    and some players pay nothing at all.
+    """
+    n_resources = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    resources = draw(
+        st.lists(st.lists(coeff, min_size=1, max_size=3), min_size=n_resources,
+                 max_size=n_resources)
+    )
+    strategy = st.lists(
+        st.integers(0, n_resources - 1), min_size=1, max_size=n_resources,
+        unique=True,
+    )
+    players = draw(
+        st.lists(st.lists(strategy, min_size=1, max_size=4), min_size=1, max_size=5)
+    )
+    return CongestionGame(resources, players)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_games(), tiered_games()), st.data())
+def test_threshold_move_matches_reference(game, data):
+    """The early return on a best response equal to the current strategy
+    changes no answer, for q given as an int, a string or a Fraction."""
+    choices = [data.draw(st.integers(0, len(s) - 1)) for s in game.players]
+    state = game.state(choices)
+    q = data.draw(
+        st.one_of(
+            st.just(Fraction(1)),
+            st.fractions(min_value=1, max_value=4, max_denominator=12),
+        )
+    )
+    forms = [q, str(q)] + ([int(q)] if q.denominator == 1 else [])
+    given_q = data.draw(st.sampled_from(forms))
+    for u in range(game.n_players):
+        expected = reference_threshold_move(game, state, u, q)
+        assert find_threshold_move(game, state, u, given_q) == expected
+
+
+def test_threshold_move_none_on_tie_with_lower_index():
+    # player 0 sits on strategy 1, which costs what strategy 0 costs
+    game = CongestionGame([[0, Fraction(1, 2)], [0, 1]], [[[0], [0], [1]], [[1]]])
+    state = game.state([1, 0])
+    assert game.cost_sums(state, 0) == [Fraction(1, 2), Fraction(1, 2), 2]
+    for q in (1, "1", Fraction(1)):
+        assert find_threshold_move(game, state, 0, q) is None
+        assert reference_threshold_move(game, state, 0, Fraction(q)) is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from congames import CongestionGame, ValidationError
+from congames.core import to_fraction
 from congames.hardness import read_flip_instance
 from congames.serialize import (
     format_rational,
@@ -54,6 +55,27 @@ def test_parse_rejects_garbage():
         parse_rational("seven")
     with pytest.raises(ValidationError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "007", "+4", " 5 ", "1_000", "\u0661\u0662", "3/4", "0.25", "1e3",
+     pytest.param("9" * 4300, id="4300-digits")],
+)
+def test_to_fraction_agrees_with_fraction_parser(text):
+    value = to_fraction(text)
+    assert type(value) is F
+    assert value == F(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "\u00b2", "1__0", "0x10", "--1", "3/0",
+     pytest.param("1" * 4301, id="4301-digits")],
+)
+def test_to_fraction_refuses_what_the_parser_refuses(text):
+    with pytest.raises(ValidationError):
+        to_fraction(text)
 
 
 def test_instance_round_trip(tmp_path):

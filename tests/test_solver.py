@@ -91,6 +91,23 @@ class TestSolverConfig:
         with pytest.raises(ValidationError):
             SolverConfig(psi=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("psi", True), ("psi", 1.5), ("psi", "2"), ("psi", None),
+         ("move_cap", True), ("move_cap", 2.5), ("move_cap", "5")],
+    )
+    def test_psi_and_move_cap_must_be_integers(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: value})
+
+    def test_integral_psi_and_move_cap_become_ints(self):
+        config = SolverConfig(psi=1.0, move_cap=F(500))
+        assert type(config.psi) is int and type(config.move_cap) is int
+        g = CongestionGame([[0, 1], [0, 1]], [[[0], [1]]] * 4)
+        params = solve(g, config).parameters
+        assert (params["psi"], params["move_cap"]) == (1, 500)
+        assert type(params["psi"]) is int and type(params["move_cap"]) is int
+
     def test_unknown_scheduler(self):
         with pytest.raises(ValidationError):
             SolverConfig(scheduler="fifo")
