@@ -18,25 +18,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from typing import Optional
 
 from . import generators, hardness, serialize, solver, verify
-from .core import CongestionGame, State, to_fraction
+from .core import CongestionGame, State, to_factor, to_integer
 from .dynamics import RunTrace
 from .errors import CongestionGameError, ContractViolationError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONTRACT = ContractViolationError.exit_code
-
-
-def _parse_rho(text: str) -> Optional[Fraction]:
-    if text.lower() in ("inf", "infinity"):
-        return None
-    rho = to_fraction(text)
-    if rho < 1:
-        raise ValidationError(f"rho must be >= 1, got {rho}")
-    return rho
 
 
 def cmd_gen(args) -> int:
@@ -75,9 +64,7 @@ def _solve_and_verify(
     params = trace.parameters or {}
     bound_str = params.get("bound", "1")
     cap = params.get("move_cap")
-    ok = report.is_approx(to_fraction(bound_str)) and (
-        cap is None or trace.n_moves <= cap
-    )
+    ok = report.is_approx(bound_str) and (cap is None or trace.n_moves <= cap)
     return trace, report, bound_str, ok, elapsed
 
 
@@ -107,7 +94,8 @@ def cmd_verify(args) -> int:
     report = verify.approximation_factor(game, state)
     line = f"rho_star={report.rho_star_str()}"
     if args.rho is not None:
-        rho = _parse_rho(args.rho)
+        inf = args.rho.lower() in ("inf", "infinity")
+        rho = None if inf else to_factor(args.rho, "rho")
         line += f" rho={'inf' if rho is None else serialize.format_rational(rho)}"
         line += f" ok={str(report.is_approx(rho)).lower()}"
     print(line)
@@ -143,8 +131,7 @@ def _default_audit_corpus() -> list[CongestionGame]:
 
 
 def cmd_audit(args) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
+    to_integer(args.trials, "--trials", least=1)
     if args.instance:
         game, _labels = serialize.read_instance(args.instance)
         corpus = [game]
@@ -166,9 +153,7 @@ def cmd_audit(args) -> int:
 def cmd_flip_gen(args) -> int:
     circuit = hardness.read_flip_instance(args.circuit)
     bundle = hardness.derive_subcircuits(circuit)
-    params = hardness.GadgetParams.for_bundle(
-        bundle, rho=to_fraction(args.rho), alpha=args.alpha
-    )
+    params = hardness.GadgetParams.for_bundle(bundle, rho=args.rho, alpha=args.alpha)
     game, labels = hardness.build_flip_game(bundle, params)
     report = hardness.structural_check(game)
     serialize.write_instance(game, args.out, labels=labels)
@@ -213,9 +198,8 @@ def cmd_bench(args) -> int:
         ) from None
     if not ns:
         raise ValidationError(f"--n-list names no player count, got {args.n_list!r}")
-    for flag, value in (("--seeds", args.seeds), ("--workers", args.workers)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be at least 1, got {value}")
+    to_integer(args.seeds, "--seeds", least=1)
+    to_integer(args.workers, "--workers", least=1)
     tasks = [
         (
             generators.GenSpec(

@@ -30,6 +30,12 @@ and potential against the full game's.
 Games, states, and subgame views are immutable; every operation here is a
 pure function of its arguments.  A game's user sets and value table are
 built on first use and cached on the game.
+
+The four input rules the modules share are spelled here once, each raising
+ValidationError: `to_integer` (an integer at or above a floor; 3.0 reads as
+3, while True, 2.5 and "3" are refused), `to_factor` (a rational >= 1),
+`CongestionGame.strategy` (player u's strategy i) and `digit_limit_error` (a
+value with more digits than `digit_limit`).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ValidationError
 
@@ -62,6 +68,22 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+def digit_limit_error(what: str) -> ValidationError:
+    """The error for `what`, a value with more digits than `digit_limit`."""
+    limit = digit_limit()
+    return ValidationError(
+        f"{what} has more than {limit} digits, over the {limit}-digit limit "
+        "of sys.set_int_max_str_digits"
+    )
+
+
+def _quote(value) -> str:
+    """repr of `value`; a long string is cut to a prefix and its length."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:20]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 def _check_exponent(text: str) -> None:
     """Reject a decimal exponent beyond the `digit_limit`.
 
@@ -71,7 +93,7 @@ def _check_exponent(text: str) -> None:
     match = _EXPONENT.search(text)
     limit = digit_limit()
     if match and limit and abs(int(match[1])) > limit:
-        raise ValidationError(f"exponent of {text!r} exceeds the {limit}-digit limit")
+        raise digit_limit_error(f"the value of {_quote(text)}")
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -80,40 +102,49 @@ def to_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValidationError(f"not a rational: {value!r}")
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        # Plain ASCII digits skip Fraction's regex parser; for them int() fails
+        # only beyond the digit limit.
+        if value.isascii() and value.isdigit():
+            try:
+                return Fraction(int(value))
+            except ValueError:
+                raise digit_limit_error(f"the integer {_quote(value)}") from None
         try:
-            if isinstance(value, str):
-                # Plain ASCII digits skip Fraction's regex parser; int() still
-                # raises ValueError beyond the digit limit.
-                if value.isascii() and value.isdigit():
-                    return Fraction(int(value))
-                _check_exponent(value)
+            _check_exponent(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational: {value!r}") from exc
+            raise ValidationError(f"not a rational: {_quote(value)}") from exc
     raise ValidationError(f"not a rational: {value!r}")
 
 
-def to_index(value) -> int:
-    """Coerce an integral value (3, 3.0) to int; reject 1.5, "3", None, True."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        raise ValidationError(f"not an integer index: {value!r}")
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"not an integer index: {value!r}")
+def to_factor(value: RationalLike, name: str) -> Fraction:
+    """Coerce a factor, a rational >= 1 such as rho or q, to Fraction."""
+    q = value if isinstance(value, Fraction) else to_fraction(value)
+    if q.numerator < q.denominator:
+        raise ValidationError(f"{name} must be >= 1, got {q}")
+    return q
 
 
-def to_integer(value, name: str) -> int:
-    """`to_index` for a named parameter; True, 2.5 and "5" raise ValidationError."""
-    try:
-        return to_index(value)
-    except ValidationError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+def to_integer(value, name: str, least: Optional[int] = None) -> int:
+    """Coerce an integral value (3, 3.0) at or above `least` to int.
+
+    True, 2.5, "3" and None raise ValidationError, and so does a value
+    below `least` (no floor when it is None).
+    """
+    if type(value) is not int:
+        try:
+            integral = int(value) == value and not isinstance(value, bool)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValidationError(f"{name} must be an integer, got {_quote(value)}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -187,7 +218,10 @@ class CongestionGame:
             for f in resources
         )
         plys = tuple(
-            tuple(tuple(sorted(set(to_index(e) for e in strat))) for strat in strats)
+            tuple(
+                tuple(sorted({to_integer(e, "resource index") for e in strat}))
+                for strat in strats
+            )
             for strats in players
         )
         object.__setattr__(self, "resources", res)
@@ -280,6 +314,13 @@ class CongestionGame:
             table.append((0, *(v.numerator if v.denominator == 1 else v for v in col)))
         return tuple(table)
 
+    def strategy(self, u: int, i: int) -> tuple[int, ...]:
+        """Player u's strategy i; an index u does not have raises ValidationError."""
+        strats = self.players[u]
+        if 0 <= i < len(strats):
+            return strats[i]
+        raise ValidationError(f"player {u} has no strategy {i}")
+
     def player_cost(self, state: "State", u: int) -> Fraction:
         """Total latency player u experiences at `state`."""
         strat = self.players[u][state.choices[u]]
@@ -291,12 +332,9 @@ class CongestionGame:
         Computed incrementally: only resources in the symmetric difference of
         the two strategies see an adjusted load.
         """
-        strats = self.players[u]
-        if alt < 0 or alt >= len(strats):
-            raise ValidationError(f"player {u} has no strategy {alt}")
-        current = strats[state.choices[u]]
+        current = self.players[u][state.choices[u]]
         return Fraction(
-            _move_sum(self.latency_table, state.loads, current, strats[alt])
+            _move_sum(self.latency_table, state.loads, current, self.strategy(u, alt))
         )
 
     def cost_sums(self, state: "State", u: int) -> list[Value]:
@@ -325,27 +363,21 @@ class State:
 
     @classmethod
     def of(cls, game: CongestionGame, choices: Sequence[int]) -> "State":
-        choices = tuple(to_index(c) for c in choices)
+        choices = tuple(to_integer(c, "strategy index") for c in choices)
         if len(choices) != game.n_players:
             raise ValidationError(
                 f"state has {len(choices)} choices for {game.n_players} players"
             )
         loads = [0] * game.n_resources
         for u, c in enumerate(choices):
-            strats = game.players[u]
-            if c < 0 or c >= len(strats):
-                raise ValidationError(f"player {u} has no strategy {c}")
-            for e in strats[c]:
+            for e in game.strategy(u, c):
                 loads[e] += 1
         return cls(choices, tuple(loads))
 
     def apply(self, game: CongestionGame, u: int, new_choice: int) -> "State":
         """New state with u's choice replaced; loads updated incrementally."""
-        strats = game.players[u]
-        if new_choice < 0 or new_choice >= len(strats):
-            raise ValidationError(f"player {u} has no strategy {new_choice}")
-        old = strats[self.choices[u]]
-        new = strats[new_choice]
+        old = game.players[u][self.choices[u]]
+        new = game.strategy(u, new_choice)
         loads = list(self.loads)
         for e in old:
             loads[e] -= 1
@@ -375,7 +407,7 @@ class SubgameView:
     def freeze(
         cls, game: CongestionGame, state: State, active: Iterable[int]
     ) -> "SubgameView":
-        active_set = frozenset(to_index(u) for u in active)
+        active_set = frozenset(to_integer(u, "player index") for u in active)
         for u in active_set:
             if u < 0 or u >= game.n_players:
                 raise ValidationError(f"active set mentions unknown player {u}")
@@ -407,12 +439,10 @@ class SubgameView:
 
     def deviation_cost(self, state: State, u: int, alt: int) -> Fraction:
         self._require_active(u)
-        strats = self.game.players[u]
-        if alt < 0 or alt >= len(strats):
-            raise ValidationError(f"player {u} has no strategy {alt}")
-        current = strats[state.choices[u]]
+        current = self.game.players[u][state.choices[u]]
+        alt_strat = self.game.strategy(u, alt)
         table = self.game.latency_table
-        return Fraction(_move_sum(table, self._loads(state), current, strats[alt]))
+        return Fraction(_move_sum(table, self._loads(state), current, alt_strat))
 
     def potential(self, state: State) -> Fraction:
         """Potential of the subgame: modified latencies, active loads only."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Optional
 
-from .core import CongestionGame, State, to_fraction, to_integer
+from .core import CongestionGame, State, to_factor, to_fraction, to_integer
 from .errors import ValidationError
 from .serialize import format_rational, json_text, write_json
 
@@ -151,9 +151,7 @@ def find_threshold_move(
     beats it by q >= 1.  Only otherwise is the current cost read.  A tie won
     by a lower index and a zero-cost player fail the strict test below.
     """
-    q = to_fraction(q)
-    if q.numerator < q.denominator:
-        raise ValidationError(f"threshold factor must be >= 1, got {q}")
+    q = to_factor(q, "q")
     idx, cost = best_response(game, state, u)
     if idx == state.choices[u]:
         return None
@@ -262,9 +260,7 @@ def epsilon_br_dynamics(
     epsilon = to_fraction(epsilon)
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    move_cap = to_integer(move_cap, "move_cap")
-    if move_cap < 1:
-        raise ValidationError(f"move_cap must be at least 1, got {move_cap}")
+    move_cap = to_integer(move_cap, "move_cap", least=1)
     if game.mode != "standard":
         raise ValidationError("dynamics require a standard-mode game")
     if order not in ("roundrobin", "random"):

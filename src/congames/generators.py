@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import CongestionGame, LatencyFunction
+from .core import CongestionGame, LatencyFunction, to_integer
 from .errors import GenerationError, ValidationError
 
 _RETRY_CAP = 200
@@ -18,7 +18,8 @@ class GenSpec:
     Coefficients are drawn uniformly as integers in `coeff_range` for each of
     the d+1 polynomial terms.  `symmetric` gives every player the same
     strategy list.  Per player, strategies are distinct non-empty resource
-    subsets, found by rejection sampling.
+    subsets, found by rejection sampling.  Every field but `symmetric` holds
+    integers, which `to_integer` coerces (3.0 is stored as 3).
     """
 
     seed: int
@@ -31,21 +32,21 @@ class GenSpec:
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.n_players < 1 or self.n_resources < 1:
-            raise ValidationError("need at least one player and one resource")
-        if self.strategies_per_player < 1:
-            raise ValidationError("need at least one strategy per player")
-        lo, hi = self.strategy_size
-        if lo < 1 or hi < lo:
+        for name in ("n_players", "n_resources", "strategies_per_player"):
+            object.__setattr__(self, name, to_integer(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", to_integer(self.seed, "seed"))
+        object.__setattr__(self, "degree", to_integer(self.degree, "degree", 0))
+        lo, hi = (to_integer(v, "strategy_size", 1) for v in self.strategy_size)
+        clo, chi = (to_integer(v, "coeff_range", 0) for v in self.coeff_range)
+        object.__setattr__(self, "strategy_size", (lo, hi))
+        object.__setattr__(self, "coeff_range", (clo, chi))
+        if hi < lo:
             raise ValidationError(f"bad strategy size range {self.strategy_size}")
         if hi > self.n_resources:
             raise ValidationError(
                 f"strategy size {hi} exceeds resource count {self.n_resources}"
             )
-        if self.degree < 0:
-            raise ValidationError("degree must be non-negative")
-        clo, chi = self.coeff_range
-        if clo < 0 or chi < clo:
+        if chi < clo:
             raise ValidationError(f"bad coefficient range {self.coeff_range}")
 
 

@@ -42,8 +42,9 @@ from .core import (
     CongestionGame,
     LatencyFunction,
     digit_limit,
-    to_fraction,
-    to_index,
+    digit_limit_error,
+    to_factor,
+    to_integer,
 )
 from .errors import ValidationError
 from .serialize import load_json
@@ -69,12 +70,10 @@ class FlipInstance:
 
     def __init__(self, n_inputs: int, gates, outputs):
         gates = tuple((tuple(a), tuple(b)) for a, b in gates)
-        outputs = tuple(to_index(o) for o in outputs)
-        object.__setattr__(self, "n_inputs", to_index(n_inputs))
+        outputs = tuple(to_integer(o, "output") for o in outputs)
+        object.__setattr__(self, "n_inputs", to_integer(n_inputs, "inputs", least=1))
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "outputs", outputs)
-        if self.n_inputs < 1:
-            raise ValidationError("circuit needs at least one input")
         if not self.gates:
             raise ValidationError("circuit needs at least one gate")
         if not self.outputs:
@@ -157,7 +156,7 @@ def _ref_from_json(doc: dict) -> Ref:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValidationError(f"malformed gate input reference: {doc!r}")
     kind, idx = next(iter(doc.items()))
-    return (kind, to_index(idx))
+    return (kind, to_integer(idx, f"{kind} index"))
 
 
 def flip_instance_to_dict(circuit: FlipInstance) -> dict:
@@ -318,7 +317,7 @@ def bundle_from_dict(doc: dict) -> Bundle:
                 )
                 for g in gdoc["gates"]
             ),
-            tuple(to_index(o) for o in gdoc["outputs"]),
+            tuple(to_integer(o, "output") for o in gdoc["outputs"]),
         )
 
     try:
@@ -329,11 +328,10 @@ def bundle_from_dict(doc: dict) -> Bundle:
                 raise ValidationError(f"bad comparison key {key!r}")
             j, i, b = (int(digits) for digits in match.groups())
             comps[(j, i, b)] = (
-                to_index(cdoc["const"]) if "const" in cdoc else graph(cdoc)
+                to_integer(cdoc["const"], "const") if "const" in cdoc else graph(cdoc)
             )
-        return Bundle(
-            to_index(doc["inputs"]), to_index(doc["outputs"]), graph(doc["main"]), comps
-        )
+        counts = (to_integer(doc[key], key) for key in ("inputs", "outputs"))
+        return Bundle(*counts, graph(doc["main"]), comps)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed bundle document: {exc}") from exc
 
@@ -478,14 +476,11 @@ class GadgetParams:
 
     beta = alpha^(2K+1) where K is the bundle's total gate count, and
     gamma = 2*alpha*beta.  M = alpha^6 * gamma^(m+1) dominates every non-M
-    table entry (the largest is 5 alpha^5 gamma^m) with headroom.  rho must
-    be at least 1 and alpha an integer >= max(rho, 2).
+    table entry (the largest is 5 alpha^5 gamma^m) with headroom.
     """
 
-    rho: Fraction
     alpha: int
     total_gates: int
-    n_outputs: int
     beta: int
     gamma: int
     big_m: int
@@ -497,38 +492,34 @@ class GadgetParams:
         rho: Fraction = Fraction(2),
         alpha: Optional[int] = None,
     ) -> "GadgetParams":
-        """The ladder for `bundle`; alpha defaults to max(2, ceil(rho)).
+        """The ladder for `bundle`, for a factor rho >= 1.
 
-        A ladder whose largest value M^5 has more digits than the
-        `core.digit_limit` cannot be written and raises ValidationError;
-        one far over the limit is refused before any of it is built.
+        rho only sets alpha's floor, the least integer >= max(2, rho), which
+        is also alpha's default.  A ladder whose largest value M^5 has more
+        digits than the `core.digit_limit` cannot be written and raises
+        ValidationError; one far over the limit is refused before any of it
+        is built.
         """
-        rho = to_fraction(rho)
-        if rho < 1:
-            raise ValidationError(f"rho must be >= 1, got {rho}")
+        rho = to_factor(rho, "rho")
+        floor = max(2, -(-rho.numerator // rho.denominator))  # ceil(rho)
+        alpha = floor if alpha is None else to_integer(alpha, "alpha", least=floor)
         k_total = bundle.total_gates()
         m = bundle.n_outputs
-        if alpha is None:
-            alpha = max(2, -(-rho.numerator // rho.denominator))  # ceil(rho)
-        if alpha < 2 or alpha < rho:
-            raise ValidationError(
-                f"alpha must be an integer >= max(rho, 2), got {alpha}"
-            )
         # M = alpha^6 * gamma^(m+1) = 2^twos * alpha^power, so
         # M^5 >= 2^(5 (twos + power (bits - 1))): the bit lengths refuse a far
         # too large M^5 at once; otherwise it has under twice the limit's bits
         # and is cheap to build and compare exactly.
         twos, power = m + 1, 6 + (2 * k_total + 2) * (m + 1)
-        limit = digit_limit()
+        limit, largest = digit_limit(), "the game's largest value, M^5"
         if limit and 5 * (twos + power * (alpha.bit_length() - 1)) >= (
             10**limit
         ).bit_length():
-            raise _over_digit_limit(limit)
+            raise digit_limit_error(largest)
         beta = alpha ** (2 * k_total + 1)
         gamma = 2 * alpha * beta
-        params = cls(rho, alpha, k_total, m, beta, gamma, 2**twos * alpha**power)
+        params = cls(alpha, k_total, beta, gamma, 2**twos * alpha**power)
         if limit and params.largest_value >= 10**limit:
-            raise _over_digit_limit(limit)
+            raise digit_limit_error(largest)
         return params
 
     def __post_init__(self):
@@ -542,13 +533,6 @@ class GadgetParams:
     def largest_value(self) -> int:
         """M^5, the largest latency value `build_flip_game` writes."""
         return self.big_m**5
-
-
-def _over_digit_limit(limit: int) -> ValidationError:
-    return ValidationError(
-        f"the game's largest value, M^5, has more than {limit} digits, "
-        "the limit of sys.set_int_max_str_digits"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +873,7 @@ def positivize(game: CongestionGame, alpha: int) -> CongestionGame:
     """
     if game.mode != "hardness":
         raise ValidationError("positivize expects a hardness-mode game")
-    if alpha < 2:
-        raise ValidationError(f"alpha must be >= 2, got {alpha}")
+    alpha = to_integer(alpha, "alpha", least=2)
     scale = game.n_resources * alpha
     new_resources = []
     for f in game.resources:

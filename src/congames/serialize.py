@@ -20,15 +20,14 @@ import json
 from fractions import Fraction
 from typing import Any, IO, Optional, Union
 
-from .core import CongestionGame, LatencyFunction, digit_limit, to_fraction, to_index
+from .core import (
+    CongestionGame,
+    LatencyFunction,
+    digit_limit_error,
+    to_fraction,
+    to_integer,
+)
 from .errors import ValidationError
-
-
-def _over_digit_limit() -> ValidationError:
-    return ValidationError(
-        f"a value has more than {digit_limit()} digits, "
-        "the limit of sys.set_int_max_str_digits"
-    )
 
 
 def format_rational(x: Fraction) -> str:
@@ -40,7 +39,7 @@ def format_rational(x: Fraction) -> str:
     try:
         return str(Fraction(x))
     except ValueError as exc:
-        raise _over_digit_limit() from exc
+        raise digit_limit_error("a value") from exc
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
@@ -89,7 +88,7 @@ def json_text(doc: dict) -> str:
     try:
         return json.dumps(doc, indent=2) + "\n"
     except ValueError as exc:
-        raise _over_digit_limit() from exc
+        raise digit_limit_error("a value") from exc
 
 
 def dump_json(doc: dict, fp: IO[str]) -> None:
@@ -130,4 +129,4 @@ def read_state(path: str) -> list[int]:
     doc = load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("state"), list):
         raise ValidationError(f"{path} is not a state file")
-    return [to_index(c) for c in doc["state"]]
+    return [to_integer(c, "strategy index") for c in doc["state"]]

@@ -57,10 +57,7 @@ class SolverConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        psi = to_integer(self.psi, "psi")
-        if psi < 1:
-            raise ValidationError(f"psi must be a positive integer, got {self.psi!r}")
-        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "psi", to_integer(self.psi, "psi", least=1))
         if self.theta_override is not None:
             override = to_fraction(self.theta_override)
             if override <= 1:
@@ -73,9 +70,7 @@ class SolverConfig:
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
             )
         if self.move_cap is not None:
-            cap = to_integer(self.move_cap, "move_cap")
-            if cap < 0:
-                raise ValidationError("move_cap must be non-negative")
+            cap = to_integer(self.move_cap, "move_cap", least=0)
             object.__setattr__(self, "move_cap", cap)
 
 

@@ -37,7 +37,8 @@ from .core import (
     SubgameView,
     Value,
     aggregate_metrics,
-    to_fraction,
+    to_factor,
+    to_integer,
 )
 from .dynamics import epsilon_br_dynamics
 from .errors import BudgetExceededError, ValidationError
@@ -54,9 +55,7 @@ def state_space_size(game: CongestionGame) -> int:
 
 
 def _require_budget(game: CongestionGame, budget: Optional[int]) -> None:
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if limit < 1:
-        raise ValidationError(f"budget must be at least 1, got {limit}")
+    limit = DEFAULT_ENUM_BUDGET if budget is None else to_integer(budget, "budget", 1)
     size = state_space_size(game)
     if size > limit:
         raise BudgetExceededError(
@@ -89,7 +88,8 @@ class ApproxReport:
         """True when the state is a rho-approximate equilibrium (None = inf)."""
         if rho is None:
             return True
-        return self.rho_star is not None and self.rho_star <= to_fraction(rho)
+        rho = to_factor(rho, "rho")
+        return self.rho_star is not None and self.rho_star <= rho
 
     def rho_star_str(self) -> str:
         return _ratio_str(self.rho_star)
@@ -208,9 +208,7 @@ def enumerate_equilibria(
     """
     _require_budget(game, budget)
     if rho is not None:
-        rho = to_fraction(rho)
-        if rho < 1:
-            raise ValidationError(f"rho must be >= 1 (or None), got {rho}")
+        rho = to_factor(rho, "rho")
     n = game.n_players
     neighbors = _neighbor_sets(game)
     if order is None:

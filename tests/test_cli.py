@@ -284,6 +284,16 @@ class TestEmptyAndOversizedInput:
         assert run([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["solve", "brute"])
+    def test_long_coefficient_error_is_short_and_names_limit(
+        self, tmp_path, capsys, command
+    ):
+        path = self.write_doc(tmp_path, [["0", "1" * 5000]], [[[0]], [[0]]])
+        assert run([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200
+        assert "more than 4300 digits" in err
+
     def test_solve_trace_beyond_digit_limit(self, tmp_path, capsys):
         big = "9" * 4300
         path = self.write_doc(

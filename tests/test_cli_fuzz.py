@@ -1,9 +1,10 @@
-"""Malformed documents through `cli.main`: an exit code, never a traceback.
+"""Malformed documents and flags through `cli.main`: an exit code, never a traceback.
 
-Each example starts from a valid circuit, instance or state document and
+Each document example starts from a valid circuit, instance or state document and
 mutates it: a value anywhere in the tree is replaced by a JSON leaf or a key
-or list entry is deleted; or the file holds arbitrary text or bytes instead.  The exit
-code must be one of the documented ones (0, 2, 3, 4); an uncaught exception
+or list entry is deleted; or the file holds arbitrary text or bytes instead.  Each
+flag example runs one command with drawn values for some of its numeric flags
+(`--psi`, `--budget`, `--rho`, ...).  The exit code must be one of the documented ones (0, 2, 3, 4); an uncaught exception
 fails the test.
 """
 
@@ -134,3 +135,66 @@ def test_brute_and_audit_malformed_instance(data):
         ["audit", "instance.json", "--trials", "3"],
     ]))
     assert _run(files, argv) in EXIT_CODES
+
+
+# Numeric flag values: integers, fractions, decimals and junk text, with
+# magnitudes small enough that every command ends in well under a second.
+def _numbers(lo: int, hi: int):
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(lo, hi), st.integers(0, 9)),
+        st.builds(lambda i, f: f"{i}.{f}", st.integers(lo, hi), st.integers(0, 99)),
+        st.sampled_from(
+            ["1e2", "2E-1", "1e4301", "inf", "nan", "true", "0x10", "1_0", ""]
+        ),
+        st.text(max_size=4),
+    )
+
+
+FLAG_VALUES = {
+    "--psi": _numbers(-2, 40),
+    "--move-cap": _numbers(-3, 2000),
+    "--theta": _numbers(-3, 50),
+    "--budget": _numbers(-3, 10**6),
+    "--trials": _numbers(-3, 100),
+    "--seeds": _numbers(-2, 3),
+    "--n-list": st.one_of(
+        st.lists(st.integers(-2, 12).map(str), max_size=3).map(",".join),
+        _numbers(-2, 12),
+    ),
+    "--alpha": st.one_of(_numbers(-2, 40), st.just(str(10**50))),
+    "--rho": _numbers(-2, 40),
+    "--workers": st.sampled_from(["-1", "0", "1"]),
+}
+
+FLAG_COMMANDS = [
+    (["solve", "instance.json"], ["--psi", "--move-cap", "--theta"]),
+    (["brute", "instance.json"], ["--budget"]),
+    (["audit", "instance.json"], ["--trials", "--budget"]),
+    (["bench", "--resources", "6", "--out", "OUT"],
+     ["--n-list", "--seeds", "--psi", "--theta", "--workers"]),
+    (["flip-gen", "circuit.json", "--out", "OUT"], ["--alpha", "--rho"]),
+    (["verify", "instance.json", "state.json"], ["--rho"]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_numeric_flags(data):
+    argv, flags = data.draw(st.sampled_from(FLAG_COMMANDS))
+    argv = list(argv)
+    for flag in flags:
+        if data.draw(st.booleans()):
+            # "--flag=value" keeps a value such as "-1" or "-h" from reading
+            # as an option.
+            argv.append(f"{flag}={data.draw(FLAG_VALUES[flag])}")
+    files = {
+        "instance.json": json.dumps(INSTANCE).encode("utf-8"),
+        "state.json": json.dumps(STATE).encode("utf-8"),
+        "circuit.json": json.dumps(CIRCUIT).encode("utf-8"),
+    }
+    try:
+        code = _run(files, argv)
+    except SystemExit as exc:  # argparse refuses a value that is not an int
+        code = exc.code
+    assert code in EXIT_CODES

@@ -1,4 +1,4 @@
-"""Model-level tests: latencies, loads, costs, potential, subgame views."""
+"""Model-level tests: latencies, loads, costs, potential, subgame views, input rules."""
 
 import random
 from fractions import Fraction as F
@@ -7,14 +7,21 @@ import pytest
 
 from congames import (
     CongestionGame,
+    FlipInstance,
+    GadgetParams,
     GenSpec,
     LatencyFunction,
     State,
     SubgameView,
     ValidationError,
     aggregate_metrics,
+    approximation_factor,
+    brute_min_potential,
+    derive_subcircuits,
+    enumerate_equilibria,
     generate,
     load_profile,
+    positivize,
 )
 
 M2 = 2**40  # stands in for a squared big constant in hardness-style pairs
@@ -329,3 +336,105 @@ class TestValidation:
     def test_duplicate_resources_in_strategy_collapse(self):
         g = CongestionGame([[0, 1]], [[[0, 0]]])
         assert g.players[0][0] == (0,)
+
+
+class TestInputRules:
+    """Each input rule of `core` refuses a bad value at every entry point."""
+
+    @staticmethod
+    def bundle():
+        return derive_subcircuits(FlipInstance(1, [(("x", 0), ("x", 0))], [0]))
+
+    @staticmethod
+    def hardness_game():
+        return CongestionGame([[1, 0]], [[[0]]], mode="hardness")
+
+    @staticmethod
+    def spec(**fields):
+        base = dict(seed=0, n_players=4, n_resources=6, strategies_per_player=3,
+                    strategy_size=(1, 3), degree=1, coeff_range=(0, 4))
+        return GenSpec(**{**base, **fields})
+
+    @staticmethod
+    def report():
+        g = two_resource_game()
+        return approximation_factor(g, g.state([0, 0]))
+
+    CASES = [
+        *(
+            (f"for_bundle-alpha-{v!r}", "alpha must be an integer",
+             lambda v=v: GadgetParams.for_bundle(TestInputRules.bundle(), alpha=v))
+            for v in (2.5, "3")
+        ),
+        *(
+            (f"positivize-alpha-{v!r}", "alpha must be an integer",
+             lambda v=v: positivize(TestInputRules.hardness_game(), alpha=v))
+            for v in (2.5, "3")
+        ),
+        *(
+            (f"GenSpec-{name}-{v!r}", f"{name} must be an integer",
+             lambda name=name, v=v: TestInputRules.spec(**{name: v}))
+            for name in ("seed", "n_players", "n_resources",
+                         "strategies_per_player", "degree")
+            for v in (2.5, True)
+        ),
+        *(
+            (f"GenSpec-{name}-{pair!r}", f"{name} must be an integer",
+             lambda name=name, pair=pair: TestInputRules.spec(**{name: pair}))
+            for name, pairs in (("strategy_size", [(1, 2.5), (True, 2)]),
+                                ("coeff_range", [(0, 2.5), (True, 4)]))
+            for pair in pairs
+        ),
+        *(
+            (f"{oracle.__name__}-budget-{v!r}", "budget must be an integer",
+             lambda oracle=oracle, v=v: oracle(random_game(0), budget=v))
+            for oracle in (brute_min_potential, enumerate_equilibria)
+            for v in (True, 2.5, "10")
+        ),
+        *(
+            (f"is_approx-{v!r}", "rho must be >= 1",
+             lambda v=v: TestInputRules.report().is_approx(v))
+            for v in (F(1, 2), "1/2")
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "message, call", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_bad_value_is_validation_error(self, message, call):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+    def test_integral_float_accepted_as_int(self):
+        params = GadgetParams.for_bundle(self.bundle(), alpha=3.0)
+        assert type(params.alpha) is int
+        assert params == GadgetParams.for_bundle(self.bundle(), alpha=3)
+        game = self.hardness_game()
+        assert positivize(game, alpha=3.0) == positivize(game, alpha=3)
+        names = ("seed", "n_players", "n_resources", "strategies_per_player", "degree")
+        spec = self.spec(**{name: 3.0 for name in names},
+                         strategy_size=(1.0, 3.0), coeff_range=(0.0, 4.0))
+        assert all(type(getattr(spec, name)) is int for name in names)
+        assert all(type(v) is int for v in spec.strategy_size + spec.coeff_range)
+        assert generate(spec) == generate(self.spec(**{name: 3 for name in names}))
+        g = random_game(0)
+        for oracle in (brute_min_potential, enumerate_equilibria):
+            assert oracle(g, budget=100.0) == oracle(g, budget=100)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("entry", [
+        "deviation_cost", "State.of", "State.apply", "SubgameView.deviation_cost",
+    ])
+    def test_missing_strategy_index(self, entry, bad):
+        g = two_resource_game()
+        state = g.state([0, 0])
+        calls = {
+            "deviation_cost": lambda: g.deviation_cost(state, 1, bad),
+            "State.of": lambda: State.of(g, [0, bad]),
+            "State.apply": lambda: state.apply(g, 1, bad),
+            "SubgameView.deviation_cost": lambda: SubgameView.freeze(
+                g, state, [1]
+            ).deviation_cost(state, 1, bad),
+        }
+        with pytest.raises(ValidationError, match=f"player 1 has no strategy {bad}"):
+            calls[entry]()

@@ -186,7 +186,7 @@ class TestEpsilonDynamics:
         with pytest.raises(ValidationError, match="move_cap"):
             epsilon_br_dynamics(g, g.state([0, 0]), F(1, 10), move_cap=cap)
 
-    @pytest.mark.parametrize("cap", [True, 2.5, "5", None])
+    @pytest.mark.parametrize("cap", [True, 2.5, "5", None, float("inf")])
     def test_cap_must_be_integer(self, cap):
         g = CongestionGame([[0, 1], [0, 1]], [[[0], [1]], [[0], [1]]])
         with pytest.raises(ValidationError, match="move_cap must be an integer"):

@@ -94,7 +94,9 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "name, value",
         [("psi", True), ("psi", 1.5), ("psi", "2"), ("psi", None),
-         ("move_cap", True), ("move_cap", 2.5), ("move_cap", "5")],
+         ("psi", F(5, 2)), ("psi", float("nan")),
+         ("move_cap", True), ("move_cap", 2.5), ("move_cap", "5"),
+         ("move_cap", float("inf"))],
     )
     def test_psi_and_move_cap_must_be_integers(self, name, value):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
