@@ -172,6 +172,7 @@ def _bench_one(task: tuple[generators.GenSpec, solver.SolverConfig]) -> dict:
     spec, config = task
     game = generators.generate(spec)
     trace, report, bound_str, ok, elapsed = _solve_and_verify(game, config)
+    params = trace.parameters
     return {
         "n": spec.n_players,
         "d": spec.degree,
@@ -184,7 +185,7 @@ def _bench_one(task: tuple[generators.GenSpec, solver.SolverConfig]) -> dict:
         "bound": bound_str,
         "ok": str(ok).lower(),
         "move_bound": serialize.format_rational(
-            solver.move_bound(spec.n_players, max(1, game.degree), config.psi)
+            solver.move_bound(params["n"], params["d"], params["psi"])
         ),
     }
 

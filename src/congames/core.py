@@ -58,6 +58,7 @@ HARDNESS = "hardness"
 
 
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def digit_limit() -> int:
@@ -116,6 +117,12 @@ def to_fraction(value: RationalLike) -> Fraction:
             _check_exponent(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
+            # int() refuses a run of digits beyond the limit, in a numerator,
+            # denominator, decimal part or exponent alike.
+            limit = digit_limit()
+            runs = _DIGIT_RUN.findall(value)
+            if limit and any(len(r) - r.count("_") > limit for r in runs):
+                raise digit_limit_error(f"a number in {_quote(value)}") from None
             raise ValidationError(f"not a rational: {_quote(value)}") from exc
     raise ValidationError(f"not a rational: {value!r}")
 

@@ -43,6 +43,7 @@ from .core import (
 from .dynamics import epsilon_br_dynamics
 from .errors import BudgetExceededError, ValidationError
 from .serialize import format_rational, game_to_dict
+from .solver import theta
 
 DEFAULT_ENUM_BUDGET = 1 << 20
 
@@ -214,7 +215,7 @@ def enumerate_equilibria(
     if order is None:
         order = _auto_order(neighbors)
     else:
-        order = list(order)
+        order = [to_integer(u, "order entry") for u in order]
         if sorted(order) != list(range(n)):
             raise ValidationError("order must be a permutation of the players")
     position = {u: i for i, u in enumerate(order)}
@@ -400,6 +401,7 @@ def audit_identities(
     """
     if game.mode != "standard":
         raise ValidationError("audits are defined for standard-mode games")
+    trials = to_integer(trials, "trials", least=1)
     # The brute force comes first so that a bad budget fails before the trials.
     try:
         phi_min: Optional[Fraction] = brute_min_potential(game, budget)[1]
@@ -475,7 +477,7 @@ def audit_identities(
     if not trace.truncated and phi_min > 0:
         report.max_ratio_observed = phi_end / phi_min
     report.potential_ratio.record(
-        trace.truncated or game.degree > 1 or phi_end <= 2 * q / (2 - q) * phi_min,
+        trace.truncated or game.degree > 1 or phi_end <= theta(1, q) * phi_min,
         game,
         State.of(game, trace.final_state),
         q=q,

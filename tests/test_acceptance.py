@@ -40,6 +40,7 @@ from congames.hardness import (
 from congames.serialize import read_instance
 from congames.solver import move_bound
 from congames.verify import sample_state
+from trace_check import check_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -238,32 +239,10 @@ def test_criterion_5_potential_ratio():
 
 
 def test_criterion_6_phase_discipline(solver_runs, tiered_runs):
-    runs, _ = solver_runs
-    violations = 0
-    for n, seed, game, trace in runs + tiered_runs:
-        blocks = trace.parameters["block_of"]
-        p = F(trace.parameters["p"])
-        q = F(trace.parameters["q"])
-        state = game.state(trace.initial_state)
-        for m in trace.moves:
-            if blocks[m.player] is None or m.phase > blocks[m.player]:
-                violations += 1
-            threshold = p if blocks[m.player] == m.phase else q
-            if not (m.cost_after * threshold < m.cost_before):
-                violations += 1
-            if game.player_cost(state, m.player) != m.cost_before:
-                violations += 1
-            state = state.apply(game, m.player, m.to_strategy)
-            if game.player_cost(state, m.player) != m.cost_after:
-                violations += 1
-        if state.choices != trace.final_state:
-            violations += 1
-    report(
-        "6 phase-discipline",
-        violations == 0,
-        f"every move within its block's phase window, strict thresholds, "
-        f"{violations} violations over 200 + {len(tiered_runs)} tiered traces",
-    )
+    traces = solver_runs[0] + tiered_runs
+    errors = [e for _, _, game, trace in traces for e in check_trace(game, trace)]
+    report("6 phase-discipline", not errors,
+           f"{len(traces)} traces replayed, {len(errors)} errors {errors[:3]}")
 
 
 def _random_flip_circuit(rng):
@@ -380,11 +359,7 @@ def test_criterion_9_degree_two_path():
             )
             trace = solve(game, SolverConfig(psi=1, theta_override=override))
             runs += 1
-            rep = approximation_factor(game, game.state(trace.final_state))
-            if not rep.is_approx(F(trace.parameters["bound"])):
-                failures += 1
-            if trace.n_moves > trace.parameters["move_cap"]:
-                failures += 1
+            failures += len(check_trace(game, trace))
             if n == 4:
                 # sanity-check the supplied override against the brute oracle
                 # on the enumerable members: observed ratio must not exceed it

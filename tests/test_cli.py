@@ -284,11 +284,14 @@ class TestEmptyAndOversizedInput:
         assert run([command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", [
+        "1" * 5000, "1" * 5000 + "/3", "0." + "1" * 5000, "1e" + "1" * 5000,
+    ], ids=["integer", "rational", "decimal", "exponent"])
     @pytest.mark.parametrize("command", ["solve", "brute"])
     def test_long_coefficient_error_is_short_and_names_limit(
-        self, tmp_path, capsys, command
+        self, tmp_path, capsys, command, value
     ):
-        path = self.write_doc(tmp_path, [["0", "1" * 5000]], [[[0]], [[0]]])
+        path = self.write_doc(tmp_path, [["0", value]], [[[0]], [[0]]])
         assert run([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.encode()) < 200

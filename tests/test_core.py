@@ -16,6 +16,7 @@ from congames import (
     ValidationError,
     aggregate_metrics,
     approximation_factor,
+    audit_identities,
     brute_min_potential,
     derive_subcircuits,
     enumerate_equilibria,
@@ -391,6 +392,13 @@ class TestInputRules:
             for oracle in (brute_min_potential, enumerate_equilibria)
             for v in (True, 2.5, "10")
         ),
+        ("enumerate_equilibria-order-[True, False]", "order entry must be",
+         lambda: enumerate_equilibria(two_resource_game(), order=[True, False])),
+        *(
+            (f"audit_identities-trials-{v!r}", "trials must be (an integer|at least 1)",
+             lambda v=v: audit_identities(two_resource_game(), seed=0, trials=v))
+            for v in (2.5, True, -1)
+        ),
         *(
             (f"is_approx-{v!r}", "rho must be >= 1",
              lambda v=v: TestInputRules.report().is_approx(v))
@@ -420,6 +428,8 @@ class TestInputRules:
         g = random_game(0)
         for oracle in (brute_min_potential, enumerate_equilibria):
             assert oracle(g, budget=100.0) == oracle(g, budget=100)
+        assert enumerate_equilibria(g, order=[1.0, 0, 2, 3]) == enumerate_equilibria(g)
+        assert audit_identities(g, seed=0, trials=3.0).rosenthal.trials == 3
 
     @pytest.mark.parametrize("bad", [2, -1])
     @pytest.mark.parametrize("entry", [

@@ -18,6 +18,7 @@ from congames import (
     optimistic_cost,
 )
 from congames.verify import approximation_factor, enumerate_equilibria
+from trace_check import check_trace
 
 
 def random_game(seed, n=4):
@@ -151,9 +152,7 @@ class TestEpsilonDynamics:
                 g, g.state([rng.randrange(len(p)) for p in g.players]), eps
             )
             assert not trace.truncated
-            final = g.state(trace.final_state)
-            for u in range(g.n_players):
-                assert find_threshold_move(g, final, u, 1 + eps) is None
+            assert check_trace(g, trace, 1 + eps) == []
 
     def test_potential_strictly_decreasing_and_identity(self):
         rng = random.Random(37)
@@ -161,18 +160,8 @@ class TestEpsilonDynamics:
             g = random_game(rng.randrange(10_000))
             s0 = g.state([rng.randrange(len(p)) for p in g.players])
             trace = epsilon_br_dynamics(g, s0, F(1, 4))
-            state = s0
-            for m in trace.moves:
-                assert m.cost_after < m.cost_before
-                assert m.potential_after < m.potential_before
-                assert (
-                    m.potential_after - m.potential_before
-                    == m.cost_after - m.cost_before
-                )
-                assert g.potential(state) == m.potential_before
-                state = state.apply(g, m.player, m.to_strategy)
-            assert state.choices == trace.final_state
-            assert g.potential(state) == trace.final_potential
+            assert trace.initial_state == s0.choices
+            assert check_trace(g, trace, F(5, 4)) == []
 
     def test_cap_sets_truncated_flag(self):
         g = CongestionGame([[0, 1], [0, 1]], [[[0], [1]], [[0], [1]]])

@@ -17,7 +17,7 @@ asserted, and for the default corpus, whose d=1 ratios are asserted; and
 `congames verify --report` JSON for a fixed state of the d=1 game and for
 a two-player game whose report has an infinite ratio.
 Rewrite the fixtures with `PYTHONPATH=src python tests/test_golden.py`, and
-only for an intended change of output.
+only for an intended change of output; every trace must pass `check_trace`.
 """
 
 import contextlib
@@ -26,6 +26,7 @@ import io
 import json
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +35,7 @@ import pytest
 from congames import CongestionGame, SolverConfig, epsilon_br_dynamics, solve
 from congames.cli import main
 from congames.serialize import read_instance, write_instance, write_state
+from trace_check import check_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -68,13 +70,30 @@ CASES = {
 def run_case(name):
     instance, run = CASES[name]
     game, _labels = read_instance(str(FIXTURES / instance))
-    return run(game)
+    trace = run(game)
+    errors = check_trace(game, trace, Fraction(11, 10) if run is _eps_br else None)
+    assert not errors, f"{name} fails the exact replay: {errors}"
+    return game, trace
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trace_bytes_unchanged(name):
     recorded = (FIXTURES / name).read_bytes()
-    assert run_case(name).to_json().encode("utf-8") == recorded
+    assert run_case(name)[1].to_json().encode("utf-8") == recorded
+
+
+@pytest.mark.parametrize("mutation", ["cost_after", "phase_label", "dropped_move"])
+def test_replay_reports_mutation(mutation):
+    game, trace = run_case("tiered.solve_scan.trace.json")
+    moves = trace.moves
+    if mutation == "cost_after":
+        moves[0] = replace(moves[0], cost_after=moves[0].cost_after + 1)
+    elif mutation == "phase_label":
+        moves[-1] = replace(moves[-1], phase=moves[-1].phase + 2)
+    else:
+        del moves[max(k for k, m in enumerate(moves) if m.phase == 1)]
+        trace.phases[0]["moves"] -= 1
+    assert check_trace(game, trace)
 
 
 FLIP_CASES = ("flip_and_xy", "flip_two_outputs")
@@ -142,7 +161,7 @@ def test_flip_gen_digests_unchanged(seed, tmp_path):
 
 @pytest.mark.parametrize("scheduler", ["scan", "random"])
 def test_tiered_case_has_several_phases(scheduler):
-    trace = run_case(f"tiered.solve_{scheduler}.trace.json")
+    _game, trace = run_case(f"tiered.solve_{scheduler}.trace.json")
     assert trace.parameters["m"] >= 3
     assert sum(1 for p in trace.phases if p["moves"] > 0) >= 2
 
@@ -207,8 +226,8 @@ def test_verify_report_bytes_unchanged(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for name in CASES:
-        (FIXTURES / name).write_text(run_case(name).to_json(), encoding="utf-8")
+    for name, (_game, trace) in [(name, run_case(name)) for name in CASES]:
+        (FIXTURES / name).write_text(trace.to_json(), encoding="utf-8")
     for name in FLIP_CASES:
         flip_gen(name, FIXTURES)
     for name in AUDIT_CASES:

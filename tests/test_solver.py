@@ -20,8 +20,8 @@ from congames import (
     solve,
     theta,
 )
-from congames.dynamics import find_threshold_move
 from congames.verify import approximation_factor
+from trace_check import check_trace
 
 
 def seeded_game(seed, n=8, degree=1, coeff_max=5):
@@ -170,71 +170,15 @@ class TestSolve:
         )
         trace = solve(g, SolverConfig(psi=1))
         assert trace.n_moves == 0
+        assert check_trace(g, trace) == []
         report = approximation_factor(g, g.state(trace.final_state))
         assert report.rho_star == 1
 
-    def test_final_state_meets_bound_on_corpus(self):
-        for seed in range(30):
-            g = seeded_game(seed)
-            trace = solve(g, SolverConfig(psi=1))
-            report = approximation_factor(g, g.state(trace.final_state))
-            bound = F(trace.parameters["bound"])
-            assert report.is_approx(bound)
-
-    def test_trace_discipline(self):
-        # phase labels, thresholds, exact potential bookkeeping, phase order
-        for seed in (0, 5, 9):
-            g = seeded_game(seed, n=12)
-            trace = solve(g, SolverConfig(psi=1))
-            blocks = trace.parameters["block_of"]
-            p = F(trace.parameters["p"])
-            q = F(trace.parameters["q"])
-            state = g.state(trace.initial_state)
-            last_phase = 0
-            for m in trace.moves:
-                assert m.phase >= last_phase
-                last_phase = m.phase
-                blk = blocks[m.player]
-                assert blk in (m.phase, m.phase + 1)
-                threshold = p if blk == m.phase else q
-                assert m.cost_after * threshold < m.cost_before
-                assert g.potential(state) == m.potential_before
-                state = state.apply(g, m.player, m.to_strategy)
-                assert g.potential(state) == m.potential_after
-            assert state.choices == trace.final_state
-
-    def test_no_player_moves_after_her_phase(self):
-        for seed in range(10):
-            g = seeded_game(seed, n=10)
-            trace = solve(g, SolverConfig(psi=1))
-            blocks = trace.parameters["block_of"]
-            for m in trace.moves:
-                assert m.phase <= blocks[m.player]
-
-    def test_phase_end_exhaustive_rescan(self):
-        # replay the trace and re-verify the stopping condition of each phase
-        for seed in (2, 7):
-            g = seeded_game(seed, n=8)
-            trace = solve(g, SolverConfig(psi=1))
-            blocks = trace.parameters["block_of"]
-            p = F(trace.parameters["p"])
-            q = F(trace.parameters["q"])
-            m_count = trace.parameters["m"]
-            state = g.state(trace.initial_state)
-            moves = list(trace.moves)
-            for phase in trace.phases or []:
-                i = phase["i"]
-                while moves and moves[0].phase == i:
-                    mv = moves.pop(0)
-                    state = state.apply(g, mv.player, mv.to_strategy)
-                block_i = [u for u, b in enumerate(blocks) if b == i]
-                block_next = [u for u, b in enumerate(blocks) if b == i + 1]
-                for u in block_i:
-                    assert find_threshold_move(g, state, u, p) is None
-                if i < m_count:
-                    for u in block_next:
-                        assert find_threshold_move(g, state, u, q) is None
-            assert not moves
+    @pytest.mark.parametrize("n, seed", [(n, s) for n, seeds in (
+        (8, range(30)), (12, (0, 5, 9)), (10, range(10))) for s in seeds])
+    def test_seeded_traces_replay_exactly(self, n, seed):
+        g = seeded_game(seed, n=n)
+        assert check_trace(g, solve(g, SolverConfig(psi=1))) == []
 
     def test_deterministic_traces(self):
         g = seeded_game(21, n=12)
@@ -246,8 +190,7 @@ class TestSolve:
         g = seeded_game(33, n=8)
         for seed in range(5):
             trace = solve(g, SolverConfig(psi=1, scheduler="random", seed=seed))
-            report = approximation_factor(g, g.state(trace.final_state))
-            assert report.is_approx(F(trace.parameters["bound"]))
+            assert check_trace(g, trace) == []
         a = solve(g, SolverConfig(psi=1, scheduler="random", seed=3))
         b = solve(g, SolverConfig(psi=1, scheduler="random", seed=3))
         assert a.to_json() == b.to_json()
@@ -297,8 +240,7 @@ class TestSolve:
         assert trace.parameters["block_of"] == [1, 1, 2, 2, 3, 3]
         moves_by_phase = {p["i"]: p["moves"] for p in trace.phases}
         assert moves_by_phase == {1: 1, 2: 1, 3: 0}
-        report = approximation_factor(g, g.state(trace.final_state))
-        assert report.is_approx(F(trace.parameters["bound"]))
+        assert check_trace(g, trace) == []
 
     def test_equal_optimistic_costs_still_equilibrated(self):
         # all optimistic costs equal puts everyone in the one and only block;
@@ -311,15 +253,14 @@ class TestSolve:
         trace = solve(g, SolverConfig(psi=1))
         assert trace.parameters["m"] == 1
         assert trace.n_moves > 0
-        report = approximation_factor(g, g.state(trace.final_state))
-        assert report.is_approx(F(trace.parameters["bound"]))
+        assert check_trace(g, trace) == []
 
     def test_all_zero_latencies_degenerate(self):
         g = CongestionGame([[0, 0]], [[[0]], [[0]], [[0]], [[0]]])
         trace = solve(g, SolverConfig(psi=1))
         assert trace.parameters.get("degenerate") is True
         assert trace.n_moves == 0
-        assert approximation_factor(g, g.state(trace.final_state)).rho_star == 1
+        assert check_trace(g, trace) == []
 
     def test_hardness_mode_rejected(self):
         g = CongestionGame([[-1, 1]], [[[0]], [[0]]], mode="hardness")
@@ -334,8 +275,7 @@ class TestSolve:
     def test_degree_two_with_override(self):
         g = seeded_game(3, n=4, degree=2)
         trace = solve(g, SolverConfig(psi=1, theta_override=F(3)))
-        report = approximation_factor(g, g.state(trace.final_state))
-        assert report.is_approx(F(trace.parameters["bound"]))
+        assert check_trace(g, trace) == []
 
 
 class TestBounds:
