@@ -848,8 +848,12 @@ def enumeration_order(labels: dict) -> list[int]:
     """Player order that makes exhaustive equilibrium search fast.
 
     Hub players (Controller, inputs, outputs) first, then each gate right
-    before its lock player in wiring order, so every player's neighborhood
-    completes within a few assignment levels.
+    before its lock player in wiring order.  A gate's or lock's neighborhood
+    then completes within a few assignment levels, while the hubs' complete
+    only with their last gate, the Controller's with the last player.  Every
+    resource of a built game has at most two users, so
+    `verify.enumerate_equilibria` tests the hubs against cost bounds long
+    before that.
     """
     order = [labels["controller"]] + list(labels["x_players"])
     order += list(labels["y_players"])

@@ -64,14 +64,28 @@ def game_to_dict(game: CongestionGame, labels: Optional[dict] = None) -> dict:
     return doc
 
 
+def _listed(value: Any, what: str) -> list:
+    """`value` itself when it is a JSON list; anything else is malformed.
+
+    A string or an object would otherwise be iterated by character or by key.
+    """
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
     try:
         mode = doc["mode"]
         resources = [
-            LatencyFunction([parse_rational(c) for c in r["coeffs"]])
-            for r in doc["resources"]
+            LatencyFunction([parse_rational(c) for c in _listed(r["coeffs"], "coeffs")])
+            for r in _listed(doc["resources"], "resources")
         ]
-        players = [p["strategies"] for p in doc["players"]]
+        players = [
+            _listed(p["strategies"], "strategies") for p in _listed(doc["players"], "players")
+        ]
+        if not all(isinstance(s, list) for strats in players for s in strats):
+            raise TypeError("a strategy must be a list")
         if not players:
             raise ValidationError("an instance needs at least one player")
         game = CongestionGame(resources, players, mode=mode)

@@ -8,11 +8,15 @@ The enumeration oracles refuse instances whose state space exceeds the
 configured budget instead of falling back to sampling.  Both are depth-first
 searches in exact integer (or Fraction) arithmetic:
 
-* `enumerate_equilibria` discards a branch as soon as some fully-surrounded
-  player provably has a forbidden improving move.  Whether a player has one
-  depends only on its choice and the loads on its resources, so each verdict
-  is computed once per call and kept in a dict per (player, choice) keyed by
-  the loads on the resources it shares with other players.
+* `enumerate_equilibria` discards a branch as soon as some placed player
+  has a forbidden improving move in every completion of it.  While each of
+  her resources that still has users to place has only two users, its final
+  load is its load now or one more, so the smaller of the two latencies
+  bounds her cost from below and the larger bounds a deviation from above;
+  once none is open the bounds are exact.  A verdict depends only on her
+  choice, the loads on her closed shared resources and which resources are
+  open, so each is computed once per call and kept in a dict per (player,
+  open set, choice) keyed by those loads.
 * `brute_min_potential` is a branch and bound: potential terms are never
   negative, so a branch whose partial potential reaches the best leaf found
   is cut.
@@ -24,6 +28,7 @@ independent reference).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -184,12 +189,12 @@ def _neighbor_sets(game: CongestionGame) -> list[set[int]]:
 
 
 def _auto_order(neighbors: list[set[int]]) -> list[int]:
-    """Assignment order that lets neighborhood checks fire early.
+    """Assignment order that lets equilibrium tests fire early.
 
     Hubs first: placing high-degree players early means the remaining
     players' neighborhoods complete soon after they are assigned, so their
-    equilibrium checks can prune branches long before the leaves.  Any
-    permutation yields the same result; this only affects speed.
+    tests can prune branches long before the leaves.  Any permutation yields
+    the same result; this only affects speed.
     """
     return sorted(range(len(neighbors)), key=lambda u: (-len(neighbors[u]), u))
 
@@ -202,10 +207,18 @@ def enumerate_equilibria(
 ) -> list[State]:
     """All states that are rho-approximate equilibria (rho=None means all).
 
-    Complete despite the pruning: a branch is cut only when a player whose
-    entire neighborhood is already assigned has a deviation improving her
-    cost by a factor strictly above rho, which dooms every completion.
-    States come back in lexicographic order of the choice vector.
+    Complete despite the pruning: a branch is cut only when some placed
+    player has a deviation improving her cost by a factor strictly above rho
+    in every completion of the branch.  States come back in lexicographic
+    order of the choice vector.
+
+    A placed player is tested after each placement that touches her
+    resources, as soon as every resource of hers that is still open (has a
+    user left to place) has only two users.  The final load on such a
+    resource is its load now or one more, so the smaller of its two latencies
+    bounds her cost from below and the larger bounds a deviation from above.
+    Once none of her resources is open, the bounds are her exact costs.  A
+    player with an open resource of three or more users is tested only then.
     """
     _require_budget(game, budget)
     if rho is not None:
@@ -243,21 +256,60 @@ def enumerate_equilibria(
                 return True
         return False
 
-    # checks_at[depth]: the players whose neighborhood is complete once the
-    # player at `depth` is placed, as (player, reader of the loads on its
-    # shared resources, one verdict dict per choice).  A verdict depends only
-    # on the player's choice and those loads (the choice alone fixes the load
-    # on a resource no other player can use), so each is computed once per
-    # call.
+    def bounded(u: int, bounds: tuple) -> bool:
+        # True when u has a forbidden move in every completion.  Per strategy,
+        # lows and highs hold the sums of the smallest and largest latency
+        # over its open resources, and closed its other resources.  The cost
+        # reads the table at loads that count u; a deviation at the loads
+        # without u, plus one.
+        lows, highs, closed = bounds
+        c = choices[u]
+        cost = lows[c]
+        for e in closed[c]:
+            cost += table[e][loads[e]]
+        if cost == 0:
+            return False
+        threshold = cost * rho_den
+        for e in closed[c]:
+            loads[e] -= 1
+        found = False
+        for alt, resources in enumerate(closed):
+            if alt != c:
+                dev = highs[alt]
+                for e in resources:
+                    dev += table[e][loads[e] + 1]
+                if dev * rho_num < threshold:
+                    found = True
+                    break
+        for e in closed[c]:
+            loads[e] += 1
+        return found
+
+    # checks_at[depth]: the players tested once the player at `depth` is
+    # placed, as (player, reader of the loads on her closed shared resources,
+    # one verdict dict per choice, test).  The entries of one player differ in
+    # which of her resources are open.  A verdict depends only on that, her
+    # choice and those loads (her choice alone fixes the load on the others),
+    # so each is computed once per call.
     checks_at: list[list[tuple]] = [[] for _ in range(n)]
     if rho is not None:  # with rho=None every state qualifies: no checks
         rho_num, rho_den = rho.numerator, rho.denominator
         users = game.users
+        two_user = {e for e, us in enumerate(users) if len(us) == 2}
+        bound = []  # (where the player sits in the order, depth, check)
         for u, strats in enumerate(game.players):
-            ready = max((position[v] for v in neighbors[u]), default=0)
             shared = sorted({e for s in strats for e in s if len(users[e]) > 1})
-            read = operator.itemgetter(*shared) if shared else lambda loads: ()
-            checks_at[max(ready, position[u])].append((u, read, [{} for _ in strats]))
+            ready = max((position[v] for v in neighbors[u]), default=0)
+            done = max(ready, position[u])
+            if not two_user.isdisjoint(shared):
+                for t, keyed, bounds in _bounded_tests(game, u, position, neighbors, done):
+                    test = functools.partial(bounded, bounds=bounds)
+                    bound.append((position[u], t, (u, _reader(keyed), [{} for _ in strats], test)))
+            checks_at[done].append((u, _reader(shared), [{} for _ in strats], violates))
+        # A depth's bound tests follow its exact checks, the latest placed
+        # player first: she is the likeliest to have a forbidden move.
+        for _, t, check in sorted(bound, key=lambda b: -b[0]):
+            checks_at[t].append(check)
 
     def descend(depth: int) -> None:
         if depth == n:
@@ -269,12 +321,12 @@ def enumerate_equilibria(
             choices[u] = idx
             for e in strat:
                 loads[e] += 1
-            for w, read, verdicts in checks:
+            for w, read, verdicts, test in checks:
                 seen = verdicts[choices[w]]
                 key = read(loads)
                 verdict = seen.get(key)
                 if verdict is None:
-                    verdict = seen[key] = violates(w)
+                    verdict = seen[key] = test(w)
                 if verdict:
                     break
             else:
@@ -286,6 +338,45 @@ def enumerate_equilibria(
     del descend  # the recursive closure is a reference cycle
     results.sort()
     return [State.of(game, c) for c in results]
+
+
+def _bounded_tests(
+    game: CongestionGame,
+    u: int,
+    position: dict[int, int],
+    neighbors: list[set[int]],
+    done: int,
+):
+    """Yield (depth, closed shared resources, bounds) for u's bound tests.
+
+    u is tested at each depth before `done` (where her last resource closes)
+    that places her or a neighbor, once every resource of hers with three or
+    more users is closed.  An open resource then has two users, u and one
+    unplaced player, so u pays f(1) or f(2) on it whatever her choice.  The
+    bounds are (lows, highs, closed) of `enumerate_equilibria`'s `bounded`:
+    per strategy, the sums of min and max of that pair over its open
+    resources, and its closed resources.
+    """
+    users, table = game.users, game.latency_table
+    strats = game.players[u]
+    mine = {e for s in strats for e in s}
+    last = {e: max(position[v] for v in users[e]) for e in mine}  # e closes there
+    start = max([position[u]] + [last[e] for e in mine if len(users[e]) > 2])
+    touched = {position[u], *(position[v] for v in neighbors[u])}
+    for t in sorted(t for t in touched if start <= t < done):
+        pairs = {e: (table[e][1], table[e][2]) for e in mine if last[e] > t}
+        lows = tuple(sum(min(pairs[e]) for e in s if e in pairs) for s in strats)
+        highs = tuple(sum(max(pairs[e]) for e in s if e in pairs) for s in strats)
+        closed = tuple(tuple(e for e in s if e not in pairs) for s in strats)
+        keyed = sorted(e for e in mine if len(users[e]) > 1 and e not in pairs)
+        yield t, keyed, (lows, highs, closed)
+
+
+def _reader(resources: list[int]):
+    """Function from the load list to a hashable key of these resources' loads."""
+    if not resources:
+        return lambda loads: ()
+    return operator.itemgetter(*resources)
 
 
 @dataclass

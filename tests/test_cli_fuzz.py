@@ -8,7 +8,11 @@ flag example runs one command with drawn values for some of its numeric flags
 fails the test.
 """
 
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
 import tempfile
 
@@ -135,6 +139,35 @@ def test_brute_and_audit_malformed_instance(data):
         ["audit", "instance.json", "--trials", "3"],
     ]))
     assert _run(files, argv) in EXIT_CODES
+
+
+# Every list in the instance document: the resources, players, coefficient,
+# strategy-list and strategy slots.
+LIST_SLOTS = [
+    path for path in _slots(INSTANCE)
+    if isinstance(functools.reduce(operator.getitem, path, INSTANCE), list)
+]
+non_lists = st.one_of(
+    st.none(),
+    st.integers(0, 12),
+    st.text(max_size=3),
+    st.dictionaries(st.sampled_from(["0", "1", "3", "x"]), leaves, max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LIST_SLOTS), non_lists)
+def test_non_list_where_a_list_belongs_exit_2(path, value):
+    # A string or an object in a list slot must not be read by character or
+    # by key: {"coeffs": "12"} is not f(x) = 1 + 2x.
+    doc = json.loads(json.dumps(INSTANCE))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = value
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _run({"instance.json": json.dumps(doc).encode("utf-8")}, ["brute", "instance.json"])
+    assert code == 2
+    assert "malformed instance document" in err.getvalue()
 
 
 # Numeric flag values: integers, fractions, decimals and junk text, with

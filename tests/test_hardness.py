@@ -37,7 +37,13 @@ from congames.hardness import (
     structural_check,
     _GameAssembler,
 )
-from congames.verify import enumerate_equilibria, sample_state
+from congames.verify import (
+    _auto_order,
+    _neighbor_sets,
+    enumerate_equilibria,
+    naive_state_scan,
+    sample_state,
+)
 
 X = lambda i: ("x", i)
 G = lambda k: ("g", k)
@@ -371,15 +377,44 @@ class TestEquilibriumCorrespondence:
         }
         assert image == minima
 
-    def test_matches_naive_scan_on_smallest_game(self):
-        from congames.verify import naive_state_scan
+    @pytest.mark.parametrize("rho", [F(1), F(3, 2), F(2)], ids=["1", "3/2", "2"])
+    @pytest.mark.parametrize("circ", [NOT_X, NAND_XY, AND_XY], ids=["not", "nand", "and"])
+    def test_same_equilibria_in_any_order(self, circ, rho):
+        bundle, params, game, labels = build(circ, rho=rho)
+        hubs_first = _auto_order(_neighbor_sets(game))
+        lists = [
+            [s.choices for s in enumerate_equilibria(game, rho=rho, budget=10**12, order=o)]
+            for o in (enumeration_order(labels), None, hubs_first[::-1])
+        ]
+        assert lists[0] and lists[1] == lists[0] and lists[2] == lists[0]
 
-        bundle, params, game, labels = build(NOT_X)
-        fast = enumerate_equilibria(
-            game, rho=1, budget=10**6, order=enumeration_order(labels)
+    def test_matches_naive_scan_on_smallest_game(self):
+        for rho in (F(1), F(3, 2), F(2)):
+            bundle, params, game, labels = build(NOT_X, rho=rho)
+            fast = enumerate_equilibria(
+                game, rho=rho, budget=10**6, order=enumeration_order(labels)
+            )
+            slow = naive_state_scan(game, rho, budget=10**6)
+            assert [s.choices for s in fast] == [s.choices for s in slow]
+
+    def test_nineteen_gate_bundle_equilibria_are_local_minima(self):
+        # y = NAND(x1, NAND(x2, x3)), plus the gates NOT x1 and
+        # NAND(x1, NOT x1) that no output reads: with guards and restricted
+        # variants a bundle of 19 gates and 43 players, where the
+        # Controller's neighborhood completes only with the last player.
+        circ = FlipInstance(3, [(X(0), X(0)), (X(0), G(0)), (X(1), X(2)), (X(0), G(2))], [3])
+        bundle, params, game, labels = build(circ, rho=F(1))
+        assert (bundle.total_gates(), game.n_players) == (19, 43)
+        eqs = enumerate_equilibria(
+            game, rho=1, budget=10**30, order=enumeration_order(labels)
         )
-        slow = naive_state_scan(game, F(1), budget=10**6)
-        assert [s.choices for s in fast] == [s.choices for s in slow]
+        image = {tuple(read_input_bits(labels, s.choices)) for s in eqs}
+        minima = {
+            bits
+            for bits in itertools.product((0, 1), repeat=3)
+            if flip_is_local_min(circ, list(bits))[0]
+        }
+        assert image == minima
 
     def test_minimal_bundle_controller_rests_on_main_lock(self):
         bundle, params, game, labels = build(NOT_X)

@@ -116,6 +116,29 @@ def test_malformed_document():
         game_from_dict({"mode": "standard"})
 
 
+@pytest.mark.parametrize("value", ["12", {"3": "x"}], ids=["string", "object"])
+@pytest.mark.parametrize(
+    "path",
+    [("resources",), ("resources", 0, "coeffs"), ("players",),
+     ("players", 0, "strategies"), ("players", 0, "strategies", 0)],
+    ids=["resources", "coeffs", "players", "strategies", "strategy"],
+)
+def test_non_list_slot_rejected(path, value):
+    # iterated as it stands, "12" would read as f(x) = 1 + 2x and {"3": "x"}
+    # as f = 3
+    doc = {
+        "mode": "standard",
+        "resources": [{"coeffs": ["1", "2"]}],
+        "players": [{"strategies": [[0]]}, {"strategies": [[0]]}],
+    }
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValidationError, match="malformed instance document"):
+        game_from_dict(doc)
+
+
 def test_document_without_players_rejected():
     doc = {"mode": "standard", "resources": [{"coeffs": ["1"]}], "players": []}
     with pytest.raises(ValidationError, match="at least one player"):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congames import (
@@ -265,7 +265,48 @@ def crowded_games(draw, kinds, players=(5, 7), resources=(2, 3), strategies=2):
     )
 
 
+@st.composite
+def sparse_games(draw, kinds, crowded=False):
+    """Games whose resources have at most two users, or some three or more.
+
+    Every player owns one private resource and may use each resource drawn
+    for her; a resource is drawn for one or two players (for two to five
+    when `crowded`), so without `crowded` no resource has three users.
+    """
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(3, 5))
+    owners = [[u] for u in range(n)]
+    for _ in range(draw(st.integers(2, 7))):
+        size = draw(st.integers(1, min(n, 5 if crowded else 2)))
+        owners.append(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)))
+    players = []
+    for u in range(n):
+        mine = [e for e, who in enumerate(owners) if u in who]
+        strategy = st.lists(st.sampled_from(mine), min_size=1, max_size=3)
+        players.append(draw(st.lists(strategy, min_size=1, max_size=3)))
+    mode = "hardness" if kind == "hardness" else "standard"
+    return CongestionGame(draw(latencies(kind, len(owners), n)), players, mode=mode)
+
+
 class TestOraclesAgainstScans:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans().flatmap(
+            lambda crowded: sparse_games(["linear", "hardness", "quadratic"], crowded)
+        ),
+        st.data(),
+    )
+    def test_enumeration_matches_naive_scan_on_sparse_games(self, game, data):
+        # Two-user resources are where the search tests placed players
+        # against bounds before their neighborhoods are complete.
+        assume(any(len(users) == 2 for users in game.users))
+        order = data.draw(st.permutations(range(game.n_players)))
+        for rho in (F(1), F(3, 2), F(2), None):
+            slow = [s.choices for s in naive_state_scan(game, rho)]
+            for o in (None, order, order[::-1]):
+                fast = enumerate_equilibria(game, rho=rho, order=o)
+                assert [s.choices for s in fast] == slow
+
     @settings(max_examples=100, deadline=None)
     @given(crowded_games(["linear", "hardness", "quadratic"]), st.data())
     def test_enumeration_matches_naive_scan(self, game, data):
