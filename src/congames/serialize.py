@@ -82,10 +82,9 @@ def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
             for r in _listed(doc["resources"], "resources")
         ]
         players = [
-            _listed(p["strategies"], "strategies") for p in _listed(doc["players"], "players")
+            [_listed(s, "strategy") for s in _listed(p["strategies"], "strategies")]
+            for p in _listed(doc["players"], "players")
         ]
-        if not all(isinstance(s, list) for strats in players for s in strats):
-            raise TypeError("a strategy must be a list")
         if not players:
             raise ValidationError("an instance needs at least one player")
         game = CongestionGame(resources, players, mode=mode)

@@ -28,7 +28,6 @@ independent reference).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import random
@@ -237,26 +236,7 @@ def enumerate_equilibria(
     choices = [0] * n
     results: list[tuple[int, ...]] = []
 
-    def violates(u: int) -> bool:
-        # Loads on u's resources are final here: all her neighbors are set.
-        current = game.players[u][choices[u]]
-        cost = 0
-        for e in current:
-            cost += table[e][loads[e]]
-        if cost == 0:
-            return False
-        threshold = cost * rho_den
-        for alt in game.players[u]:
-            if alt is current:
-                continue
-            dev = 0
-            for e in alt:
-                dev += table[e][loads[e] if e in current else loads[e] + 1]
-            if dev * rho_num < threshold:
-                return True
-        return False
-
-    def bounded(u: int, bounds: tuple) -> bool:
+    def violates(u: int, bounds: tuple) -> bool:
         # True when u has a forbidden move in every completion.  Per strategy,
         # lows and highs hold the sums of the smallest and largest latency
         # over its open resources, and closed its other resources.  The cost
@@ -264,48 +244,42 @@ def enumerate_equilibria(
         # without u, plus one.
         lows, highs, closed = bounds
         c = choices[u]
+        current = closed[c]
         cost = lows[c]
-        for e in closed[c]:
+        for e in current:
             cost += table[e][loads[e]]
         if cost == 0:
             return False
         threshold = cost * rho_den
-        for e in closed[c]:
-            loads[e] -= 1
-        found = False
         for alt, resources in enumerate(closed):
             if alt != c:
                 dev = highs[alt]
                 for e in resources:
-                    dev += table[e][loads[e] + 1]
+                    dev += table[e][loads[e] if e in current else loads[e] + 1]
                 if dev * rho_num < threshold:
-                    found = True
-                    break
-        for e in closed[c]:
-            loads[e] += 1
-        return found
+                    return True
+        return False
 
     # checks_at[depth]: the players tested once the player at `depth` is
     # placed, as (player, reader of the loads on her closed shared resources,
-    # one verdict dict per choice, test).  The entries of one player differ in
-    # which of her resources are open.  A verdict depends only on that, her
+    # one verdict dict per choice, bounds).  The entries of one player differ
+    # in which of her resources are open; her last, at the depth where all of
+    # them close, is the exact check.  A verdict depends only on that, her
     # choice and those loads (her choice alone fixes the load on the others),
     # so each is computed once per call.
     checks_at: list[list[tuple]] = [[] for _ in range(n)]
     if rho is not None:  # with rho=None every state qualifies: no checks
         rho_num, rho_den = rho.numerator, rho.denominator
-        users = game.users
-        two_user = {e for e, us in enumerate(users) if len(us) == 2}
+        # last[e]: the depth that places e's last user, where e closes
+        last = [max((position[v] for v in us), default=0) for us in game.users]
         bound = []  # (where the player sits in the order, depth, check)
         for u, strats in enumerate(game.players):
-            shared = sorted({e for s in strats for e in s if len(users[e]) > 1})
-            ready = max((position[v] for v in neighbors[u]), default=0)
-            done = max(ready, position[u])
-            if not two_user.isdisjoint(shared):
-                for t, keyed, bounds in _bounded_tests(game, u, position, neighbors, done):
-                    test = functools.partial(bounded, bounds=bounds)
-                    bound.append((position[u], t, (u, _reader(keyed), [{} for _ in strats], test)))
-            checks_at[done].append((u, _reader(shared), [{} for _ in strats], violates))
+            *early, (done, check) = [
+                (t, (u, _reader(keyed), [{} for _ in strats], bounds))
+                for t, keyed, bounds in _bounded_tests(game, u, position, neighbors, last)
+            ]
+            checks_at[done].append(check)
+            bound.extend((position[u], t, entry) for t, entry in early)
         # A depth's bound tests follow its exact checks, the latest placed
         # player first: she is the likeliest to have a forbidden move.
         for _, t, check in sorted(bound, key=lambda b: -b[0]):
@@ -321,12 +295,12 @@ def enumerate_equilibria(
             choices[u] = idx
             for e in strat:
                 loads[e] += 1
-            for w, read, verdicts, test in checks:
+            for w, read, verdicts, bounds in checks:
                 seen = verdicts[choices[w]]
                 key = read(loads)
                 verdict = seen.get(key)
                 if verdict is None:
-                    verdict = seen[key] = test(w)
+                    verdict = seen[key] = violates(w, bounds)
                 if verdict:
                     break
             else:
@@ -345,25 +319,25 @@ def _bounded_tests(
     u: int,
     position: dict[int, int],
     neighbors: list[set[int]],
-    done: int,
+    last: list[int],
 ):
-    """Yield (depth, closed shared resources, bounds) for u's bound tests.
+    """Yield (depth, closed shared resources, bounds) for u's tests.
 
-    u is tested at each depth before `done` (where her last resource closes)
-    that places her or a neighbor, once every resource of hers with three or
-    more users is closed.  An open resource then has two users, u and one
+    u is tested at each depth that places her or a neighbor, from the one
+    where her last resource with three or more users closes to the one where
+    all her resources close.  An open resource then has two users, u and one
     unplaced player, so u pays f(1) or f(2) on it whatever her choice.  The
-    bounds are (lows, highs, closed) of `enumerate_equilibria`'s `bounded`:
+    bounds are (lows, highs, closed) of `enumerate_equilibria`'s `violates`:
     per strategy, the sums of min and max of that pair over its open
-    resources, and its closed resources.
+    resources, and its closed resources.  The last test has no open resource
+    and is exact.  last[e] is the depth where resource e closes.
     """
     users, table = game.users, game.latency_table
     strats = game.players[u]
     mine = {e for s in strats for e in s}
-    last = {e: max(position[v] for v in users[e]) for e in mine}  # e closes there
     start = max([position[u]] + [last[e] for e in mine if len(users[e]) > 2])
     touched = {position[u], *(position[v] for v in neighbors[u])}
-    for t in sorted(t for t in touched if start <= t < done):
+    for t in sorted(t for t in touched if t >= start):
         pairs = {e: (table[e][1], table[e][2]) for e in mine if last[e] > t}
         lows = tuple(sum(min(pairs[e]) for e in s if e in pairs) for s in strats)
         highs = tuple(sum(max(pairs[e]) for e in s if e in pairs) for s in strats)

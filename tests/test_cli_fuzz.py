@@ -8,11 +8,7 @@ flag example runs one command with drawn values for some of its numeric flags
 fails the test.
 """
 
-import contextlib
-import functools
-import io
 import json
-import operator
 import os
 import tempfile
 
@@ -141,33 +137,13 @@ def test_brute_and_audit_malformed_instance(data):
     assert _run(files, argv) in EXIT_CODES
 
 
-# Every list in the instance document: the resources, players, coefficient,
-# strategy-list and strategy slots.
-LIST_SLOTS = [
-    path for path in _slots(INSTANCE)
-    if isinstance(functools.reduce(operator.getitem, path, INSTANCE), list)
-]
-non_lists = st.one_of(
-    st.none(),
-    st.integers(0, 12),
-    st.text(max_size=3),
-    st.dictionaries(st.sampled_from(["0", "1", "3", "x"]), leaves, max_size=2),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(LIST_SLOTS), non_lists)
-def test_non_list_where_a_list_belongs_exit_2(path, value):
-    # A string or an object in a list slot must not be read by character or
-    # by key: {"coeffs": "12"} is not f(x) = 1 + 2x.
+def test_object_for_coefficients_exit_2(capsys):
+    # Read by key, {"3": "x"} would be f = 3 and brute would exit 0.
     doc = json.loads(json.dumps(INSTANCE))
-    parent = functools.reduce(operator.getitem, path[:-1], doc)
-    parent[path[-1]] = value
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = _run({"instance.json": json.dumps(doc).encode("utf-8")}, ["brute", "instance.json"])
-    assert code == 2
-    assert "malformed instance document" in err.getvalue()
+    doc["resources"][0]["coeffs"] = {"3": "x"}
+    files = {"instance.json": json.dumps(doc).encode("utf-8")}
+    assert _run(files, ["brute", "instance.json"]) == 2
+    assert "malformed instance document" in capsys.readouterr().err
 
 
 # Numeric flag values: integers, fractions, decimals and junk text, with

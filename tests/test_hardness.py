@@ -397,12 +397,29 @@ class TestEquilibriumCorrespondence:
             slow = naive_state_scan(game, rho, budget=10**6)
             assert [s.choices for s in fast] == [s.choices for s in slow]
 
-    def test_nineteen_gate_bundle_equilibria_are_local_minima(self):
-        # y = NAND(x1, NAND(x2, x3)), plus the gates NOT x1 and
-        # NAND(x1, NOT x1) that no output reads: with guards and restricted
-        # variants a bundle of 19 gates and 43 players, where the
-        # Controller's neighborhood completes only with the last player.
-        circ = FlipInstance(3, [(X(0), X(0)), (X(0), G(0)), (X(1), X(2)), (X(0), G(2))], [3])
+    @pytest.mark.parametrize(
+        "circ",
+        [
+            FlipInstance(3, [(X(0), X(0)), (X(0), G(0)), (X(1), X(2)), (X(0), G(2))], [3]),
+            pytest.param(
+                FlipInstance(3, [(X(1), X(0)), (X(2), G(0)), (X(2), X(1)), (X(1), X(2))], [1]),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="8 192 of 8 616 equilibria decode to x = (1, 0, 0), not a local minimum",
+                ),
+            ),
+        ],
+        ids=["holds", "breaks"],
+    )
+    def test_nineteen_gate_bundle_equilibria_are_local_minima(self, circ):
+        # Bundles of 19 gates and 43 players, where the Controller's
+        # neighborhood completes only with the last player.  The reduction is
+        # not exact on all of them: three of the first four random 3-input,
+        # 4-gate circuits with such bundles decode some equilibrium to a
+        # non-minimum at rho = 1.  "holds" was picked among circuits that
+        # pass: y = NAND(x1, NAND(x2, x3)), plus the gates NOT x1 and
+        # NAND(x1, NOT x1) that no output reads.  "breaks" is
+        # y = NAND(x3, NAND(x2, x1)); it passes once the reduction is mended.
         bundle, params, game, labels = build(circ, rho=F(1))
         assert (bundle.total_gates(), game.n_players) == (19, 43)
         eqs = enumerate_equilibria(

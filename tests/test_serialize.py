@@ -116,7 +116,9 @@ def test_malformed_document():
         game_from_dict({"mode": "standard"})
 
 
-@pytest.mark.parametrize("value", ["12", {"3": "x"}], ids=["string", "object"])
+@pytest.mark.parametrize(
+    "value", [None, 3, "12", {"3": "x"}], ids=["null", "integer", "string", "object"]
+)
 @pytest.mark.parametrize(
     "path",
     [("resources",), ("resources", 0, "coeffs"), ("players",),
