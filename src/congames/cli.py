@@ -262,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the phased solver on an instance")
     p.add_argument("instance")
     p.add_argument("--psi", type=int, default=1)
-    p.add_argument("--theta", default=None, help="ratio bound, required for d >= 2")
+    p.add_argument(
+        "--theta", default=None, help="ratio bound: d >= 2 needs it, d = 1 ignores it"
+    )
     p.add_argument("--scheduler", choices=solver.SCHEDULERS, default="scan")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--move-cap", type=int, default=None)

@@ -3,7 +3,10 @@
 The Flip problem asks for a local minimum of the weighted output value of a
 NAND circuit under single-bit flips of its input vector.  This module turns
 circuit bundles into congestion games (hardness mode: affine latencies with
-possibly negative offsets) whose exact equilibria encode Flip local minima.
+possibly negative offsets) whose exact equilibria are meant to encode Flip
+local minima.  That correspondence is checked by enumeration on small
+bundles only, and it is known to fail on y = NAND(x3, NAND(x2, x1)), whose
+test is a strict expected failure (ROADMAP item 1).
 
 A bundle consists of a *main* circuit (the Flip instance, plus one
 consistency guard gate per output) and one *comparison* circuit per
@@ -57,19 +60,113 @@ GUARD_VARIANTS = ("001", "110")
 
 
 # ---------------------------------------------------------------------------
+# Circuit graphs
+
+
+@dataclass(frozen=True)
+class BundleGate:
+    a: Ref
+    b: Ref
+    variants: tuple[str, ...] = ALL_VARIANTS
+
+    def __post_init__(self):
+        for v in self.variants:
+            if v not in ALL_VARIANTS:
+                raise ValidationError(f"unknown lock variant {v!r}")
+        if not self.variants:
+            raise ValidationError("a gate needs at least one lock variant")
+
+
+@dataclass(frozen=True)
+class CircuitGraph:
+    """NAND gates over x, y and earlier g; its owner checks the references."""
+
+    gates: tuple[BundleGate, ...]
+    outputs: tuple[int, ...]
+
+    def values(self, x: Sequence[int], y: Sequence[int] = ()) -> list[int]:
+        """Every gate's value, given input bits x and output displays y."""
+        values: list[int] = []
+        wires = {"x": x, "y": y, "g": values}
+        for gate in self.gates:
+            a, b = (wires[kind][idx] for kind, idx in (gate.a, gate.b))
+            values.append(0 if (a and b) else 1)
+        return values
+
+
+def _check_gates(graph: CircuitGraph, sizes: dict[str, int]) -> None:
+    """Validate the gate references of one circuit.
+
+    Every gate input is either ``(kind, i)`` with ``kind`` in `sizes` and
+    ``0 <= i < sizes[kind]``, or ``("g", k)`` naming an earlier gate; every
+    designated output names a gate.
+    """
+    for k, gate in enumerate(graph.gates):
+        for kind, idx in (gate.a, gate.b):
+            limit = k if kind == "g" else sizes.get(kind)
+            if limit is None:
+                raise ValidationError(f"gate {k} has unsupported input kind {kind!r}")
+            if not 0 <= idx < limit:
+                if kind == "g":
+                    raise ValidationError(
+                        f"gate {k} must reference an earlier gate, got {idx}"
+                    )
+                raise ValidationError(f"gate {k} reads unknown {kind} {idx}")
+    for o in graph.outputs:
+        if not 0 <= o < len(graph.gates):
+            raise ValidationError(f"designated output {o} is not a gate")
+
+
+def _ref_to_json(ref: Ref) -> dict:
+    return {ref[0]: ref[1]}
+
+
+def _ref_from_json(doc: dict) -> Ref:
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ValidationError(f"malformed gate input reference: {doc!r}")
+    kind, idx = next(iter(doc.items()))
+    return (kind, to_integer(idx, f"{kind} index"))
+
+
+def _graph_to_json(graph: CircuitGraph, lockable: bool) -> dict:
+    gates = []
+    for g in graph.gates:
+        gates.append({"a": _ref_to_json(g.a), "b": _ref_to_json(g.b)})
+        if lockable:
+            gates[-1]["variants"] = list(g.variants)
+    return {"gates": gates, "outputs": list(graph.outputs)}
+
+
+def _graph_from_json(doc: dict, lockable: bool) -> CircuitGraph:
+    """A graph document; only a `lockable` (bundle) graph reads `variants`."""
+    return CircuitGraph(
+        tuple(
+            BundleGate(
+                _ref_from_json(g["a"]),
+                _ref_from_json(g["b"]),
+                tuple(g.get("variants", ALL_VARIANTS)) if lockable else ALL_VARIANTS,
+            )
+            for g in doc["gates"]
+        ),
+        tuple(to_integer(o, "output") for o in doc["outputs"]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Flip instances
 
 
 @dataclass(frozen=True)
-class FlipInstance:
-    """NAND circuit over input bits with weighted designated outputs."""
+class FlipInstance(CircuitGraph):
+    """NAND circuit over input bits with weighted designated outputs.
+
+    Built from ``(a, b)`` reference pairs; every gate allows all variants.
+    """
 
     n_inputs: int
-    gates: tuple[tuple[Ref, Ref], ...]
-    outputs: tuple[int, ...]
 
     def __init__(self, n_inputs: int, gates, outputs):
-        gates = tuple((tuple(a), tuple(b)) for a, b in gates)
+        gates = tuple(BundleGate(tuple(a), tuple(b)) for a, b in gates)
         outputs = tuple(to_integer(o, "output") for o in outputs)
         object.__setattr__(self, "n_inputs", to_integer(n_inputs, "inputs", least=1))
         object.__setattr__(self, "gates", gates)
@@ -78,22 +175,14 @@ class FlipInstance:
             raise ValidationError("circuit needs at least one gate")
         if not self.outputs:
             raise ValidationError("circuit needs at least one output")
-        _check_gates(self.gates, self.outputs, {"x": self.n_inputs})
+        _check_gates(self, {"x": self.n_inputs})
 
-    def eval_gates(self, x: Sequence[int]) -> list[int]:
+    def eval_outputs(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.n_inputs:
             raise ValidationError(
                 f"input vector has length {len(x)}, expected {self.n_inputs}"
             )
-        values: list[int] = []
-        for a, b in self.gates:
-            va = x[a[1]] if a[0] == "x" else values[a[1]]
-            vb = x[b[1]] if b[0] == "x" else values[b[1]]
-            values.append(0 if (va and vb) else 1)
-        return values
-
-    def eval_outputs(self, x: Sequence[int]) -> list[int]:
-        values = self.eval_gates(x)
+        values = self.values(x)
         return [values[o] for o in self.outputs]
 
 
@@ -121,61 +210,15 @@ def flip_is_local_min(
     return True, None
 
 
-def _check_gates(
-    gates: Sequence[tuple[Ref, Ref]],
-    outputs: Sequence[int],
-    sizes: dict[str, int],
-) -> None:
-    """Validate the gate references of one circuit.
-
-    Every gate input is either ``(kind, i)`` with ``kind`` in `sizes` and
-    ``0 <= i < sizes[kind]``, or ``("g", k)`` naming an earlier gate; every
-    designated output names a gate.
-    """
-    for k, (a, b) in enumerate(gates):
-        for kind, idx in (a, b):
-            limit = k if kind == "g" else sizes.get(kind)
-            if limit is None:
-                raise ValidationError(f"gate {k} has unsupported input kind {kind!r}")
-            if not 0 <= idx < limit:
-                if kind == "g":
-                    raise ValidationError(
-                        f"gate {k} must reference an earlier gate, got {idx}"
-                    )
-                raise ValidationError(f"gate {k} reads unknown {kind} {idx}")
-    for o in outputs:
-        if not 0 <= o < len(gates):
-            raise ValidationError(f"designated output {o} is not a gate")
-
-
-def _ref_to_json(ref: Ref) -> dict:
-    return {ref[0]: ref[1]}
-
-
-def _ref_from_json(doc: dict) -> Ref:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValidationError(f"malformed gate input reference: {doc!r}")
-    kind, idx = next(iter(doc.items()))
-    return (kind, to_integer(idx, f"{kind} index"))
-
-
 def flip_instance_to_dict(circuit: FlipInstance) -> dict:
-    return {
-        "inputs": circuit.n_inputs,
-        "gates": [
-            {"a": _ref_to_json(a), "b": _ref_to_json(b)} for a, b in circuit.gates
-        ],
-        "outputs": list(circuit.outputs),
-    }
+    return {"inputs": circuit.n_inputs, **_graph_to_json(circuit, lockable=False)}
 
 
 def flip_instance_from_dict(doc: dict) -> FlipInstance:
     try:
-        return FlipInstance(
-            doc["inputs"],
-            [(_ref_from_json(g["a"]), _ref_from_json(g["b"])) for g in doc["gates"]],
-            doc["outputs"],
-        )
+        n_inputs = doc["inputs"]
+        graph = _graph_from_json(doc, lockable=False)
+        return FlipInstance(n_inputs, [(g.a, g.b) for g in graph.gates], graph.outputs)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed circuit document: {exc}") from exc
 
@@ -195,28 +238,6 @@ def pair_to_linear(at_one: int, at_two: int) -> LatencyFunction:
 
 # ---------------------------------------------------------------------------
 # Bundles
-
-
-@dataclass(frozen=True)
-class BundleGate:
-    a: Ref
-    b: Ref
-    variants: tuple[str, ...] = ALL_VARIANTS
-
-    def __post_init__(self):
-        for v in self.variants:
-            if v not in ALL_VARIANTS:
-                raise ValidationError(f"unknown lock variant {v!r}")
-        if not self.variants:
-            raise ValidationError("a gate needs at least one lock variant")
-
-
-@dataclass(frozen=True)
-class CircuitGraph:
-    """Gates over x, y and earlier g; the `Bundle` holding it checks them."""
-
-    gates: tuple[BundleGate, ...]
-    outputs: tuple[int, ...]
 
 
 CompKey = tuple[int, int, int]  # (output j, input i, target bit b), 0-based
@@ -258,9 +279,7 @@ class Bundle:
         sizes = {"x": self.n_inputs, "y": self.n_outputs}
         for graph in (self.main, *self.comparisons.values()):
             if isinstance(graph, CircuitGraph):
-                _check_gates(
-                    [(g.a, g.b) for g in graph.gates], graph.outputs, sizes
-                )
+                _check_gates(graph, sizes)
 
     def present_keys(self) -> list[CompKey]:
         """Comparison slots that yield a Controller strategy, sorted."""
@@ -279,59 +298,37 @@ class Bundle:
 
 
 def bundle_to_dict(bundle: Bundle) -> dict:
-    def graph_doc(graph: CircuitGraph) -> dict:
-        return {
-            "gates": [
-                {
-                    "a": _ref_to_json(g.a),
-                    "b": _ref_to_json(g.b),
-                    "variants": list(g.variants),
-                }
-                for g in graph.gates
-            ],
-            "outputs": list(graph.outputs),
-        }
-
     comps = {}
-    for (j, i, b) in sorted(bundle.comparisons):
-        comp = bundle.comparisons[(j, i, b)]
+    for (j, i, b), comp in sorted(bundle.comparisons.items()):
         comps[f"{j},{i},{b}"] = (
-            {"const": comp} if isinstance(comp, int) else graph_doc(comp)
+            {"const": comp}
+            if isinstance(comp, int)
+            else _graph_to_json(comp, lockable=True)
         )
     return {
         "inputs": bundle.n_inputs,
         "outputs": bundle.n_outputs,
-        "main": graph_doc(bundle.main),
+        "main": _graph_to_json(bundle.main, lockable=True),
         "comparisons": comps,
     }
 
 
 def bundle_from_dict(doc: dict) -> Bundle:
-    def graph(gdoc: dict) -> CircuitGraph:
-        return CircuitGraph(
-            tuple(
-                BundleGate(
-                    _ref_from_json(g["a"]),
-                    _ref_from_json(g["b"]),
-                    tuple(g.get("variants", ALL_VARIANTS)),
-                )
-                for g in gdoc["gates"]
-            ),
-            tuple(to_integer(o, "output") for o in gdoc["outputs"]),
-        )
-
     try:
         comps: dict[CompKey, Comparison] = {}
-        for key, cdoc in doc.get("comparisons", {}).items():
-            match = re.fullmatch("([0-9]+),([0-9]+),([0-9]+)", key)
-            if match is None:
-                raise ValidationError(f"bad comparison key {key!r}")
-            j, i, b = (int(digits) for digits in match.groups())
-            comps[(j, i, b)] = (
-                to_integer(cdoc["const"], "const") if "const" in cdoc else graph(cdoc)
+        for text, cdoc in doc.get("comparisons", {}).items():
+            # One spelling per key, so that "00,0,1" cannot replace "0,0,1".
+            match = re.fullmatch("([0-9]+),([0-9]+),([0-9]+)", text)
+            key = tuple(int(digits) for digits in match.groups()) if match else None
+            if key is None or text != "{},{},{}".format(*key):
+                raise ValidationError(f"bad comparison key {text!r}")
+            comps[key] = (
+                to_integer(cdoc["const"], "const")
+                if "const" in cdoc
+                else _graph_from_json(cdoc, lockable=True)
             )
-        counts = (to_integer(doc[key], key) for key in ("inputs", "outputs"))
-        return Bundle(*counts, graph(doc["main"]), comps)
+        counts = (to_integer(doc[name], name) for name in ("inputs", "outputs"))
+        return Bundle(*counts, _graph_from_json(doc["main"], lockable=True), comps)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed bundle document: {exc}") from exc
 
@@ -378,12 +375,13 @@ class _NandBuilder:
 
 
 def derive_subcircuits(circuit: FlipInstance) -> Bundle:
-    """Best-effort bundle for a Flip instance.
+    """The bundle for a Flip instance.
 
-    Main circuit: a copy of the instance plus, per output j, a consistency
-    guard gate NAND(y_j, output-gate-j) whose lock variants are restricted to
-    the two display-matches-value rows; a main circuit thus only locks fully
-    when every output player displays the value the circuit computes.
+    Main circuit: the instance's gates, lockable in all four variants, plus,
+    per output j, a consistency guard gate NAND(y_j, output-gate-j) whose
+    lock variants are restricted to the two display-matches-value rows; a
+    main circuit thus only locks fully when every output player displays the
+    value the circuit computes.
 
     Comparison (j, i, b): evaluates the instance's gate graph with input i
     hardwired to b (constant folding included) and assembles the predicate
@@ -400,10 +398,11 @@ def derive_subcircuits(circuit: FlipInstance) -> Bundle:
     holds.  Constant predicates are recorded as 0 or 1 without gates.
     """
     n, m = circuit.n_inputs, len(circuit.outputs)
-    main_gates = [BundleGate(a, b) for a, b in circuit.gates]
-    for j, out in enumerate(circuit.outputs):
-        main_gates.append(BundleGate(("y", j), ("g", out), GUARD_VARIANTS))
-    main = CircuitGraph(tuple(main_gates), tuple(circuit.outputs))
+    guards = tuple(
+        BundleGate(("y", j), ("g", out), GUARD_VARIANTS)
+        for j, out in enumerate(circuit.outputs)
+    )
+    main = CircuitGraph(circuit.gates + guards, circuit.outputs)
 
     comparisons: dict[CompKey, Comparison] = {}
     for j in range(m):
@@ -418,12 +417,12 @@ def _derive_comparison(
 ) -> Comparison:
     builder = _NandBuilder()
     values: list = []
-    for a_ref, b_ref in circuit.gates:
+    for gate in circuit.gates:
         def resolve(ref):
             if ref[0] == "x":
                 return b if ref[1] == i else ref
             return values[ref[1]]
-        values.append(builder.nand(resolve(a_ref), resolve(b_ref)))
+        values.append(builder.nand(resolve(gate.a), resolve(gate.b)))
     rewritten_j = values[circuit.outputs[j]]
 
     if j + 1 == len(circuit.outputs):
@@ -591,7 +590,8 @@ def build_flip_game(
     alpha, beta, gamma, M = params.alpha, params.beta, params.gamma, params.big_m
 
     # Global gate ids: main circuit first, then comparisons in key order;
-    # the circuit under `key` holds the gates in gate_ids[key].
+    # the circuit under `key` holds the gates in gate_ids[key], and gates[k]
+    # is global gate k with its g references made global.
     circuits = [("main", bundle.main)] + [
         (key, comp)
         for key, comp in sorted(bundle.comparisons.items())
@@ -610,20 +610,18 @@ def build_flip_game(
         kind: [[] for _ in names] for kind, names in label.items()
     }
     gate_ids: dict[Union[str, CompKey], range] = {}
-    gate_info: list[BundleGate] = []
-    providers: list[list[tuple[str, int]]] = []
+    gates: list[BundleGate] = []
     for key, graph in circuits:
-        base = len(gate_info)
+        base = len(gates)
         gate_ids[key] = range(base, base + len(graph.gates))
         for gate in graph.gates:
-            resolved = []
-            for slot, (kind, idx) in (("a", gate.a), ("b", gate.b)):
-                if kind == "g":
-                    idx += base
-                readers[kind][idx].append((len(gate_info), slot))
-                resolved.append((kind, idx))
-            providers.append(resolved)
-            gate_info.append(gate)
+            a, b = (
+                (kind, idx + base if kind == "g" else idx)
+                for kind, idx in (gate.a, gate.b)
+            )
+            for slot, (kind, idx) in (("a", a), ("b", b)):
+                readers[kind][idx].append((len(gates), slot))
+            gates.append(BundleGate(a, b, gate.variants))
     main_gate_ids = gate_ids["main"]
     comp_gate_ids = range(len(main_gate_ids), k_total)
 
@@ -744,18 +742,18 @@ def build_flip_game(
     for k in range(k_total):
         p = asm.player(f"LockG_{k + 1}")
         lock_player.append(p)
-        ref_a, ref_b = providers[k]
+        gate = gates[k]
         own = label["g"][k]
         for variant in ALL_VARIANTS:
-            if variant not in gate_info[k].variants:
+            if variant not in gate.variants:
                 continue
             va, vb, vo = (int(c) for c in variant)
             rows = [trigger_unlock(k)]
             rows.append(lock_copy(1 - vo, "a", k, own))
             rows.append(lock_copy(1 - vo, "b", k, own))
-            rows.append(lock_copy(1 - va, "a", k, label[ref_a[0]][ref_a[1]]))
-            rows.append(lock_copy(1 - vb, "b", k, label[ref_b[0]][ref_b[1]]))
-            for ref in (ref_a, ref_b):
+            rows.append(lock_copy(1 - va, "a", k, label[gate.a[0]][gate.a[1]]))
+            rows.append(lock_copy(1 - vb, "b", k, label[gate.b[0]][gate.b[1]]))
+            for ref in (gate.a, gate.b):
                 if ref[0] == "g":
                     rows.append(lock_gate(ref[1], f"LockG_{k + 1}"))
             asm.strategy(p, f"Lock{variant}", rows)

@@ -11,14 +11,15 @@ Instance schema::
 
 Rationals are written as canonical "p/q" (or bare integer) strings and are
 accepted back as "p/q" strings, decimal strings, or plain JSON integers.
-Round trips are bit exact: parse(format(x)) == x for every Fraction x.
+Round trips are bit exact: `core.to_fraction(format_rational(x)) == x` for
+every Fraction x.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, IO, Optional, Union
+from typing import Any, IO, Optional
 
 from .core import (
     CongestionGame,
@@ -40,11 +41,6 @@ def format_rational(x: Fraction) -> str:
         return str(Fraction(x))
     except ValueError as exc:
         raise digit_limit_error("a value") from exc
-
-
-def parse_rational(text: Union[str, int]) -> Fraction:
-    """Inverse of format_rational; also accepts decimals like '0.25'."""
-    return to_fraction(text)
 
 
 def game_to_dict(game: CongestionGame, labels: Optional[dict] = None) -> dict:
@@ -78,7 +74,7 @@ def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
     try:
         mode = doc["mode"]
         resources = [
-            LatencyFunction([parse_rational(c) for c in _listed(r["coeffs"], "coeffs")])
+            LatencyFunction([to_fraction(c) for c in _listed(r["coeffs"], "coeffs")])
             for r in _listed(doc["resources"], "resources")
         ]
         players = [

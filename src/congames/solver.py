@@ -43,9 +43,10 @@ class SolverConfig:
 
     psi steers the accuracy/effort trade-off (larger psi, tighter guarantee,
     more moves).  theta_override is mandatory for games of degree >= 2 and
-    must exceed 1.  The default scheduler "scan" picks the lowest-index
-    eligible block-i player, else the lowest-index eligible block-(i+1)
-    player; "random" picks uniformly among all eligible players using `seed`.
+    must exceed 1; a linear game ignores it and uses the exact 2q/(2-q).
+    The default scheduler "scan" picks the lowest-index eligible block-i
+    player, else the lowest-index eligible block-(i+1) player; "random"
+    picks uniformly among all eligible players using `seed`.
     psi and move_cap must be integers (3.0 becomes 3; True and 2.5 are
     refused).
     """
@@ -74,28 +75,23 @@ class SolverConfig:
             object.__setattr__(self, "move_cap", cap)
 
 
-def theta(d: int, q: Fraction, override: Optional[Fraction] = None) -> Fraction:
+def theta(d: int, q: Fraction) -> Fraction:
     """Potential ratio bound for q-approximate states of degree-d games.
 
-    Degree <= 1: exactly 2q/(2-q), valid for q in [1, 2).  Degree >= 2:
-    returns the caller-supplied override; there is no concrete constant to
-    compute, only an existential d^O(d)-type bound.
+    Degree <= 1: exactly 2q/(2-q), valid for q in [1, 2).  Degree >= 2 has
+    no concrete constant to compute, only an existential d^O(d)-type bound,
+    so it raises; `parameters` then needs `SolverConfig.theta_override`.
     """
     q = to_fraction(q)
     if d <= 1:
         if not (1 <= q < 2):
             raise ParameterError(f"linear ratio bound needs 1 <= q < 2, got {q}")
         return 2 * q / (2 - q)
-    if override is None:
-        raise ParameterError(
-            f"degree {d} >= 2 requires an explicit theta override: no concrete "
-            "potential-ratio constant is available for polynomial latencies, "
-            "only an existential d^O(d) bound"
-        )
-    override = to_fraction(override)
-    if override <= 1:
-        raise ParameterError(f"theta override must exceed 1, got {override}")
-    return override
+    raise ParameterError(
+        f"degree {d} >= 2 requires an explicit theta override: no concrete "
+        "potential-ratio constant is available for polynomial latencies, "
+        "only an existential d^O(d) bound"
+    )
 
 
 def parameters(
@@ -103,14 +99,16 @@ def parameters(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (q, p, theta) for an n-player degree-d game.
 
-    q = 1 + n^-psi and p = (1/theta_d(q) - n^-psi)^-1.  Fails when p would
-    be non-positive, i.e. the instance is too small for the chosen psi.
+    q = 1 + n^-psi and p = (1/theta_d(q) - n^-psi)^-1, where theta_d(q) is
+    `config.theta_override` for d >= 2.  Fails when p would be non-positive,
+    i.e. the instance is too small for the chosen psi.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 players, got {n}")
     eps = Fraction(1, n**config.psi)
     q = 1 + eps
-    th = theta(d, q, config.theta_override)
+    override = config.theta_override
+    th = theta(d, q) if d <= 1 or override is None else override
     denom = 1 / th - eps
     if denom <= 0:
         raise ParameterError(

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ from congames.hardness import (
     flip_objective,
     pair_to_linear,
     positivize,
+    read_flip_instance,
     read_input_bits,
     structural_check,
     _GameAssembler,
@@ -51,6 +53,13 @@ G = lambda k: ("g", k)
 NOT_X = FlipInstance(1, [(X(0), X(0))], [0])  # y = NOT x1
 NAND_XY = FlipInstance(2, [(X(0), X(1))], [0])  # y = NAND(x1, x2)
 AND_XY = FlipInstance(2, [(X(0), X(1)), (G(0), G(0))], [1])  # y = x1 AND x2
+# y = NAND(x3, NAND(x2, x1)), plus two gates no output reads; its 19-gate
+# bundle has equilibria that decode to a non-minimum (ROADMAP item 1)
+BREAKS = FlipInstance(3, [(X(1), X(0)), (X(2), G(0)), (X(2), X(1)), (X(1), X(2))], [1])
+GOLDEN = [
+    read_flip_instance(str(Path(__file__).parent / "fixtures" / f"{name}.circuit.json"))
+    for name in ("flip_and_xy", "flip_two_outputs")
+]
 
 
 def build(circuit, rho=F(2), alpha=None):
@@ -249,6 +258,43 @@ class TestDeriveSubcircuits:
         out_gate = comp.gates[comp.outputs[0]]
         assert out_gate.variants == ("110",)
 
+    def test_comparisons_compute_their_predicates(self):
+        # Comparison (j, i, b) locks fully, its output gate showing the
+        # output bit of one of its variants, exactly when rewriting x_i to b
+        # zeroes output j and leaves every higher output equal to its
+        # display; a constant comparison is that predicate's constant value.
+        rng = random.Random(16)
+        circuits = [NOT_X, NAND_XY, AND_XY, *GOLDEN, BREAKS]
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            gates = []
+            for k in range(rng.randint(1, 6)):
+                refs = [X(i) for i in range(n)] + [G(j) for j in range(k)]
+                gates.append((rng.choice(refs), rng.choice(refs)))
+            outs = [rng.randrange(len(gates)) for _ in range(rng.randint(1, 3))]
+            circuits.append(FlipInstance(n, gates, outs))
+        for circ in circuits:
+            bundle = derive_subcircuits(circ)
+            n, m = circ.n_inputs, len(circ.outputs)
+            assert sorted(bundle.comparisons) == sorted(
+                itertools.product(range(m), range(n), (0, 1))
+            )
+            for x in itertools.product((0, 1), repeat=n):
+                for y in itertools.product((0, 1), repeat=m):
+                    main = bundle.main.values(x, y)
+                    assert main[: len(circ.gates)] == circ.values(x)
+                for (j, i, b), comp in bundle.comparisons.items():
+                    rewritten = circ.eval_outputs(x[:i] + (b,) + x[i + 1:])
+                    for y in itertools.product((0, 1), repeat=m):
+                        holds = rewritten[j] == 0 and rewritten[j + 1:] == list(y[j + 1:])
+                        if isinstance(comp, int):
+                            assert comp == holds, (circ, j, i, b)
+                            continue
+                        (out,) = comp.outputs
+                        locked = {int(v[2]) for v in comp.gates[out].variants}
+                        value = comp.values(x, y)[out]
+                        assert (value in locked) == holds, (circ, j, i, b, x, y)
+
     def test_bundle_json_round_trip(self):
         bundle = derive_subcircuits(AND_XY)
         doc = bundle_to_dict(bundle)
@@ -402,7 +448,7 @@ class TestEquilibriumCorrespondence:
         [
             FlipInstance(3, [(X(0), X(0)), (X(0), G(0)), (X(1), X(2)), (X(0), G(2))], [3]),
             pytest.param(
-                FlipInstance(3, [(X(1), X(0)), (X(2), G(0)), (X(2), X(1)), (X(1), X(2))], [1]),
+                BREAKS,
                 marks=pytest.mark.xfail(
                     strict=True,
                     reason="8 192 of 8 616 equilibria decode to x = (1, 0, 0), not a local minimum",
@@ -529,6 +575,8 @@ class TestBundleValidation:
                      id="key-long"),
         pytest.param(lambda d: d["comparisons"].update({"0,5,1": {"const": 1}}),
                      id="key-range"),
+        pytest.param(lambda d: d["comparisons"].update({"00,0,1": {"const": 0}}),
+                     id="key-alias"),
         pytest.param(lambda d: d["comparisons"].update({"0,0,1": {"const": 0.5}}),
                      id="const-frac"),
     ])

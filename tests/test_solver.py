@@ -49,16 +49,9 @@ class TestTheta:
         with pytest.raises(ParameterError):
             theta(1, F(2))
 
-    def test_override_pass_through(self):
-        assert theta(3, F(3, 2), override=F(100)) == 100
-
     def test_missing_override_names_degree(self):
         with pytest.raises(ParameterError, match="theta override"):
             theta(2, F(3, 2))
-
-    def test_override_must_exceed_one(self):
-        with pytest.raises(ParameterError):
-            theta(2, F(3, 2), override=F(1))
 
 
 class TestParameters:
@@ -78,6 +71,12 @@ class TestParameters:
     def test_single_player_rejected(self):
         with pytest.raises(ParameterError):
             parameters(1, 1, SolverConfig(psi=1))
+
+    def test_override_pass_through(self):
+        config = SolverConfig(psi=1, theta_override=F(3))
+        assert parameters(16, 3, config)[2] == 3
+        # a linear game ignores the override
+        assert parameters(16, 1, config)[2] == F(34, 15)
 
     def test_p_positive_whenever_returned(self):
         for n in (4, 8, 12, 16, 32):
