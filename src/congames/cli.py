@@ -13,7 +13,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
 import time
@@ -145,8 +144,7 @@ def cmd_audit(args) -> int:
                 game, seed=args.seed + idx, trials=trials_each, budget=args.budget
             )
         )
-    doc = total.to_dict()
-    print(json.dumps(doc, indent=2))
+    sys.stdout.write(serialize.json_text(total.to_dict()))
     return EXIT_OK if total.total_violations == 0 else EXIT_CONTRACT
 
 

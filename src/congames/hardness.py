@@ -547,8 +547,8 @@ class _GameAssembler:
         self.strategy_labels: list[list[str]] = []
         self.strategies: list[list[list[int]]] = []
 
-    def resource(self, name: str, at_one: int, at_two: Optional[int]) -> int:
-        pair = (at_one, at_one if at_two is None else at_two)
+    def resource(self, name: str, at_one: int, at_two: int) -> int:
+        pair = (at_one, at_two)
         if name in self._index:
             idx = self._index[name]
             if self.resource_pairs[idx] != pair:
@@ -782,14 +782,17 @@ def build_flip_game(
         p = asm.player(own)
         y_player.append(p)
         scale = gamma ** (j + 1)
-        one_rows = [asm.resource(f"One_{j + 1}", 4 * alpha**4 * scale, None)]
+        one = 4 * alpha**4 * scale
+        change = 3 * alpha**3 * scale
+        check = 2 * alpha**2 * scale
+        one_rows = [asm.resource(f"One_{j + 1}", one, one)]
         one_rows += value_rows("y", j, 1, own)
         asm.strategy(p, "One", one_rows)
 
         for i in range(n):
             for b in (0, 1):
                 rows = [
-                    asm.resource(f"Change_{j + 1}", 3 * alpha**3 * scale, None),
+                    asm.resource(f"Change_{j + 1}", change, change),
                     block_s0(j),
                     trigger_x(i, b, j),
                     reset_done_y(j),
@@ -803,7 +806,7 @@ def build_flip_game(
         for i in range(n):
             for b in (0, 1):
                 rows = [
-                    asm.resource(f"Check_{j + 1}", 2 * alpha**2 * scale, None),
+                    asm.resource(f"Check_{j + 1}", check, check),
                     block_x(i, 1 - b, j),
                     trigger_controller(j),
                     reset_done_y(j),
@@ -846,12 +849,11 @@ def enumeration_order(labels: dict) -> list[int]:
     """Player order that makes exhaustive equilibrium search fast.
 
     Hub players (Controller, inputs, outputs) first, then each gate right
-    before its lock player in wiring order.  A gate's or lock's neighborhood
-    then completes within a few assignment levels, while the hubs' complete
-    only with their last gate, the Controller's with the last player.  Every
-    resource of a built game has at most two users, so
-    `verify.enumerate_equilibria` tests the hubs against cost bounds long
-    before that.
+    before its lock player in wiring order.  A gate's or lock's resources
+    then close within a few assignment levels.  Every resource of a built
+    game has at most two users, so the hubs are tested against cost bounds
+    long before their last gate is placed (`verify.enumerate_equilibria`
+    says when a player is tested).
     """
     order = [labels["controller"]] + list(labels["x_players"])
     order += list(labels["y_players"])

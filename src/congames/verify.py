@@ -9,14 +9,11 @@ configured budget instead of falling back to sampling.  Both are depth-first
 searches in exact integer (or Fraction) arithmetic:
 
 * `enumerate_equilibria` discards a branch as soon as some placed player
-  has a forbidden improving move in every completion of it.  While each of
-  her resources that still has users to place has only two users, its final
-  load is its load now or one more, so the smaller of the two latencies
-  bounds her cost from below and the larger bounds a deviation from above;
-  once none is open the bounds are exact.  A verdict depends only on her
-  choice, the loads on her closed shared resources and which resources are
-  open, so each is computed once per call and kept in a dict per (player,
-  open set, choice) keyed by those loads.
+  has a forbidden improving move in every completion of it; its docstring
+  says when a player is tested.  A verdict depends only on her choice, the
+  loads on her closed shared resources and which resources are open, so
+  each is computed once per call and kept in a dict per (player, open set,
+  choice) keyed by those loads.
 * `brute_min_potential` is a branch and bound: potential terms are never
   negative, so a branch whose partial potential reaches the best leaf found
   is cut.
@@ -176,26 +173,20 @@ def brute_min_potential(
     return State.of(game, best_choices), Fraction(best)
 
 
-def _neighbor_sets(game: CongestionGame) -> list[set[int]]:
-    """Players sharing at least one resource across any of their strategies."""
-    users = game.users
-    neighbors: list[set[int]] = []
-    for u, strats in enumerate(game.players):
-        near = set().union(*(users[e] for strat in strats for e in strat))
-        near.discard(u)
-        neighbors.append(near)
-    return neighbors
-
-
-def _auto_order(neighbors: list[set[int]]) -> list[int]:
+def _auto_order(game: CongestionGame) -> list[int]:
     """Assignment order that lets equilibrium tests fire early.
 
-    Hubs first: placing high-degree players early means the remaining
-    players' neighborhoods complete soon after they are assigned, so their
-    tests can prune branches long before the leaves.  Any permutation yields
-    the same result; this only affects speed.
+    Hubs first: placing the players who share resources with the most others
+    early closes the remaining players' resources soon after they are
+    assigned, so their tests can prune branches long before the leaves.  Any
+    permutation yields the same result; this only affects speed.
     """
-    return sorted(range(len(neighbors)), key=lambda u: (-len(neighbors[u]), u))
+    users = game.users
+    sharers = [
+        len(set().union(*(users[e] for strat in strats for e in strat)) - {u})
+        for u, strats in enumerate(game.players)
+    ]
+    return sorted(range(game.n_players), key=lambda u: (-sharers[u], u))
 
 
 def enumerate_equilibria(
@@ -211,21 +202,22 @@ def enumerate_equilibria(
     in every completion of the branch.  States come back in lexicographic
     order of the choice vector.
 
-    A placed player is tested after each placement that touches her
-    resources, as soon as every resource of hers that is still open (has a
-    user left to place) has only two users.  The final load on such a
-    resource is its load now or one more, so the smaller of its two latencies
-    bounds her cost from below and the larger bounds a deviation from above.
-    Once none of her resources is open, the bounds are her exact costs.  A
-    player with an open resource of three or more users is tested only then.
+    A placed player is tested at `start` and at each later depth where one
+    of her resources closes: its last user is placed.  `start` is the later
+    of her own placement and the depth where her last resource with three
+    or more users closes.  The later depths are thus exactly those that
+    place a player sharing a resource with her, and each resource of hers
+    that is open at a test has two users, her and one unplaced player.  Its
+    final load is its load now or one more, so the smaller of its two
+    latencies bounds her cost from below and the larger bounds a deviation
+    from above.  Her last test has no open resource and is exact.
     """
     _require_budget(game, budget)
     if rho is not None:
         rho = to_factor(rho, "rho")
     n = game.n_players
-    neighbors = _neighbor_sets(game)
     if order is None:
-        order = _auto_order(neighbors)
+        order = _auto_order(game)
     else:
         order = [to_integer(u, "order entry") for u in order]
         if sorted(order) != list(range(n)):
@@ -262,27 +254,24 @@ def enumerate_equilibria(
 
     # checks_at[depth]: the players tested once the player at `depth` is
     # placed, as (player, reader of the loads on her closed shared resources,
-    # one verdict dict per choice, bounds).  The entries of one player differ
-    # in which of her resources are open; her last, at the depth where all of
-    # them close, is the exact check.  A verdict depends only on that, her
-    # choice and those loads (her choice alone fixes the load on the others),
-    # so each is computed once per call.
+    # one verdict dict per choice, bounds).
     checks_at: list[list[tuple]] = [[] for _ in range(n)]
     if rho is not None:  # with rho=None every state qualifies: no checks
         rho_num, rho_den = rho.numerator, rho.denominator
         # last[e]: the depth that places e's last user, where e closes
         last = [max((position[v] for v in us), default=0) for us in game.users]
-        bound = []  # (where the player sits in the order, depth, check)
-        for u, strats in enumerate(game.players):
-            *early, (done, check) = [
-                (t, (u, _reader(keyed), [{} for _ in strats], bounds))
-                for t, keyed, bounds in _bounded_tests(game, u, position, neighbors, last)
-            ]
-            checks_at[done].append(check)
-            bound.extend((position[u], t, entry) for t, entry in early)
-        # A depth's bound tests follow its exact checks, the latest placed
-        # player first: she is the likeliest to have a forbidden move.
-        for _, t, check in sorted(bound, key=lambda b: -b[0]):
+        # A depth's exact checks come first, in player order, then its bound
+        # tests, the latest placed player first: she is the likeliest to
+        # have a forbidden move.
+        tests = sorted(
+            (
+                (t, is_open, -position[u] if is_open else u),
+                (u, _reader(keyed), [{} for _ in strats], bounds),
+            )
+            for u, strats in enumerate(game.players)
+            for t, is_open, keyed, bounds in _bounded_tests(game, u, position[u], last)
+        )
+        for (t, _, _), check in tests:
             checks_at[t].append(check)
 
     def descend(depth: int) -> None:
@@ -314,36 +303,26 @@ def enumerate_equilibria(
     return [State.of(game, c) for c in results]
 
 
-def _bounded_tests(
-    game: CongestionGame,
-    u: int,
-    position: dict[int, int],
-    neighbors: list[set[int]],
-    last: list[int],
-):
-    """Yield (depth, closed shared resources, bounds) for u's tests.
+def _bounded_tests(game: CongestionGame, u: int, placed: int, last: list[int]):
+    """Yield (depth, has an open resource, closed shared resources, bounds).
 
-    u is tested at each depth that places her or a neighbor, from the one
-    where her last resource with three or more users closes to the one where
-    all her resources close.  An open resource then has two users, u and one
-    unplaced player, so u pays f(1) or f(2) on it whatever her choice.  The
-    bounds are (lows, highs, closed) of `enumerate_equilibria`'s `violates`:
-    per strategy, the sums of min and max of that pair over its open
-    resources, and its closed resources.  The last test has no open resource
-    and is exact.  last[e] is the depth where resource e closes.
+    One entry per test of u, at the depths that `enumerate_equilibria`
+    names; u is placed at depth `placed`, and last[e] is the depth where
+    resource e closes.  The bounds are (lows, highs, closed) of its
+    `violates`: per strategy, the sums of the smaller and of the larger of
+    f(1) and f(2) over its open resources, and its closed resources.
     """
     users, table = game.users, game.latency_table
     strats = game.players[u]
     mine = {e for s in strats for e in s}
-    start = max([position[u]] + [last[e] for e in mine if len(users[e]) > 2])
-    touched = {position[u], *(position[v] for v in neighbors[u])}
-    for t in sorted(t for t in touched if t >= start):
+    start = max([placed] + [last[e] for e in mine if len(users[e]) > 2])
+    for t in sorted({start} | {last[e] for e in mine if last[e] > start}):
         pairs = {e: (table[e][1], table[e][2]) for e in mine if last[e] > t}
         lows = tuple(sum(min(pairs[e]) for e in s if e in pairs) for s in strats)
         highs = tuple(sum(max(pairs[e]) for e in s if e in pairs) for s in strats)
         closed = tuple(tuple(e for e in s if e not in pairs) for s in strats)
         keyed = sorted(e for e in mine if len(users[e]) > 1 and e not in pairs)
-        yield t, keyed, (lows, highs, closed)
+        yield t, bool(pairs), keyed, (lows, highs, closed)
 
 
 def _reader(resources: list[int]):

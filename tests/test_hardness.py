@@ -41,7 +41,6 @@ from congames.hardness import (
 )
 from congames.verify import (
     _auto_order,
-    _neighbor_sets,
     enumerate_equilibria,
     naive_state_scan,
     sample_state,
@@ -327,7 +326,7 @@ class TestBuildFlipGame:
 
     def test_assembler_rejects_redefined_resource(self):
         asm = _GameAssembler()
-        assert asm.resource("R", 3, None) == asm.resource("R", 3, 3) == 0
+        assert asm.resource("R", 3, 3) == asm.resource("R", 3, 3) == 0
         with pytest.raises(ValidationError, match="redefined"):
             asm.resource("R", 3, 4)
 
@@ -427,7 +426,7 @@ class TestEquilibriumCorrespondence:
     @pytest.mark.parametrize("circ", [NOT_X, NAND_XY, AND_XY], ids=["not", "nand", "and"])
     def test_same_equilibria_in_any_order(self, circ, rho):
         bundle, params, game, labels = build(circ, rho=rho)
-        hubs_first = _auto_order(_neighbor_sets(game))
+        hubs_first = _auto_order(game)
         lists = [
             [s.choices for s in enumerate_equilibria(game, rho=rho, budget=10**12, order=o)]
             for o in (enumeration_order(labels), None, hubs_first[::-1])
@@ -458,8 +457,8 @@ class TestEquilibriumCorrespondence:
         ids=["holds", "breaks"],
     )
     def test_nineteen_gate_bundle_equilibria_are_local_minima(self, circ):
-        # Bundles of 19 gates and 43 players, where the Controller's
-        # neighborhood completes only with the last player.  The reduction is
+        # Bundles of 19 gates and 43 players, where the Controller shares a
+        # resource with the last player.  The reduction is
         # not exact on all of them: three of the first four random 3-input,
         # 4-gate circuits with such bundles decode some equilibrium to a
         # non-minimum at rho = 1.  "holds" was picked among circuits that

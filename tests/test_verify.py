@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from congames import (
@@ -20,7 +20,9 @@ from congames import (
     enumerate_equilibria,
     generate,
 )
-from congames.verify import AuditReport, naive_state_scan, state_space_size
+from congames.hardness import enumeration_order
+from congames.verify import AuditReport, _bounded_tests, naive_state_scan, state_space_size
+from test_hardness import AND_XY, NAND_XY, NOT_X, build
 
 
 def random_game(seed, n=4, strategies=3, degree=1):
@@ -298,7 +300,7 @@ class TestOraclesAgainstScans:
     )
     def test_enumeration_matches_naive_scan_on_sparse_games(self, game, data):
         # Two-user resources are where the search tests placed players
-        # against bounds before their neighborhoods are complete.
+        # against bounds before all their resources close.
         assume(any(len(users) == 2 for users in game.users))
         order = data.draw(st.permutations(range(game.n_players)))
         for rho in (F(1), F(3, 2), F(2), None):
@@ -333,6 +335,50 @@ class TestOraclesAgainstScans:
             for c in itertools.product(*[range(len(p)) for p in game.players])
         ]
         assert (phi, state.choices) == min(ranked)
+
+
+def _with_order(game):
+    return st.tuples(st.just(game), st.permutations(range(game.n_players)))
+
+
+def _flip_case(circuit):
+    _bundle, _params, game, labels = build(circuit)
+    return game, enumeration_order(labels)
+
+
+class TestEnumerationTestDepths:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans()
+        .flatmap(lambda crowded: sparse_games(["linear"], crowded))
+        .flatmap(_with_order)
+    )
+    @example(_flip_case(NOT_X))
+    @example(_flip_case(NAND_XY))
+    @example(_flip_case(AND_XY))
+    def test_players_are_tested_where_their_resources_close(self, case):
+        game, order = case
+        position = {u: t for t, u in enumerate(order)}
+        users = game.users
+        last = [max((position[v] for v in us), default=0) for us in users]
+        for u, strats in enumerate(game.players):
+            mine = {e for s in strats for e in s}
+            tests = list(_bounded_tests(game, u, position[u], last))
+            depths = [t for t, _, _, _ in tests]
+            # first test: once every open resource of hers has two users
+            assert depths[0] == min(
+                t
+                for t in range(position[u], len(order))
+                if all(len(users[e]) <= 2 for e in mine if last[e] > t)
+            )
+            # then every depth that places a player sharing a resource with her
+            sharers = set().union(*(users[e] for e in mine))
+            assert depths == [t for t in range(depths[0], len(order)) if order[t] in sharers]
+            opened = [mine.difference(*closed) for _, _, _, (_, _, closed) in tests]
+            assert all(later < earlier for earlier, later in zip(opened, opened[1:]))
+            flags = [has_open for _, has_open, _, _ in tests]
+            assert flags == [bool(o) for o in opened] == [True] * (len(tests) - 1) + [False]
+            assert depths[-1] == max(last[e] for e in mine)
 
 
 class TestOraclesLeaveNoCycles:
