@@ -46,7 +46,6 @@ from .hardness import (
     structural_check,
 )
 from .solver import (
-    BlockPartition,
     SolverConfig,
     approximation_bound,
     move_bound,
@@ -67,7 +66,6 @@ from .verify import (
 __all__ = [
     "ApproxReport",
     "AuditReport",
-    "BlockPartition",
     "BudgetExceededError",
     "Bundle",
     "CongestionGame",

@@ -479,7 +479,6 @@ class GadgetParams:
     """
 
     alpha: int
-    total_gates: int
     beta: int
     gamma: int
     big_m: int
@@ -516,7 +515,7 @@ class GadgetParams:
             raise digit_limit_error(largest)
         beta = alpha ** (2 * k_total + 1)
         gamma = 2 * alpha * beta
-        params = cls(alpha, k_total, beta, gamma, 2**twos * alpha**power)
+        params = cls(alpha, beta, gamma, 2**twos * alpha**power)
         if limit and params.largest_value >= 10**limit:
             raise digit_limit_error(largest)
         return params
@@ -579,12 +578,13 @@ def build_flip_game(
 
     Returns the game and a labels side-table mapping player, strategy, and
     resource indices to gadget names for debugging and for reading solutions
-    back out (input players' strategy 0 is always their One).
+    back out (input players' strategy 0 is always their One).  `params` must
+    be the ladder `GadgetParams.for_bundle` gives `bundle` at its alpha.
     """
-    if params.total_gates != bundle.total_gates():
+    if params != GadgetParams.for_bundle(bundle, alpha=params.alpha):
         raise ValidationError(
-            f"params were sized for {params.total_gates} gates, bundle has "
-            f"{bundle.total_gates()}"
+            f"params were not sized for this bundle of {bundle.total_gates()} "
+            f"gates and {bundle.n_outputs} outputs"
         )
     n, m = bundle.n_inputs, bundle.n_outputs
     alpha, beta, gamma, M = params.alpha, params.beta, params.gamma, params.big_m
@@ -650,11 +650,11 @@ def build_flip_game(
     def trigger_unlock(k: int) -> int:
         return asm.resource(f"TriggerUnlockG_{k + 1}", alpha, alpha**3)
 
-    def value_rows(ref_kind: str, idx: int, value: int, owner: str) -> list[int]:
+    def value_rows(kind: str, idx: int, value: int) -> list[int]:
         rows = []
-        for k, slot in readers[ref_kind][idx]:
+        for k, slot in readers[kind][idx]:
             rows.append(bit(value, slot, k))
-            rows.append(lock_copy(value, slot, k, owner))
+            rows.append(lock_copy(value, slot, k, label[kind][idx]))
         return rows
 
     present = bundle.present_keys()
@@ -732,10 +732,10 @@ def build_flip_game(
         gate_player.append(p)
         for slot in "ab":
             rows = [bit(1, slot, k), lock_copy(1, slot, k, own)]
-            asm.strategy(p, f"One{slot.upper()}", rows + value_rows("g", k, 1, own))
+            asm.strategy(p, f"One{slot.upper()}", rows + value_rows("g", k, 1))
         rows = [bit(0, slot, k) for slot in "ab"]
         rows += [lock_copy(0, slot, k, own) for slot in "ab"]
-        asm.strategy(p, "Zero", rows + value_rows("g", k, 0, own))
+        asm.strategy(p, "Zero", rows + value_rows("g", k, 0))
 
     # Lock players -----------------------------------------------------------
     lock_player: list[int] = []
@@ -772,7 +772,7 @@ def build_flip_game(
         for value, strat_label in ((1, "One"), (0, "Zero")):
             rows = [trigger_x(i, 1 - value, j) for j in range(m)]
             rows += [block_x(i, value, j) for j in range(m)]
-            rows += value_rows("x", i, value, label["x"][i])
+            rows += value_rows("x", i, value)
             asm.strategy(p, strat_label, rows)
 
     # Output players ----------------------------------------------------------
@@ -786,7 +786,7 @@ def build_flip_game(
         change = 3 * alpha**3 * scale
         check = 2 * alpha**2 * scale
         one_rows = [asm.resource(f"One_{j + 1}", one, one)]
-        one_rows += value_rows("y", j, 1, own)
+        one_rows += value_rows("y", j, 1)
         asm.strategy(p, "One", one_rows)
 
         for i in range(n):
@@ -800,7 +800,7 @@ def build_flip_game(
                 rows += trigger_y_listen(j)
                 rows += [trigger_y(j2, own) for j2 in range(j)]
                 rows += [block_s(key, j) for key in present if key != (j, i, b)]
-                rows += value_rows("y", j, 1, own)
+                rows += value_rows("y", j, 1)
                 asm.strategy(p, f"Change[{j + 1},{i + 1},{b}]", rows)
 
         for i in range(n):
@@ -814,7 +814,7 @@ def build_flip_game(
                 rows += trigger_y_listen(j)
                 rows += [trigger_done_y(j2, j) for j2 in range(j)]
                 rows += [block_s(key, j) for key in present if key != (j, i, b)]
-                rows += value_rows("y", j, 0, own)
+                rows += value_rows("y", j, 0)
                 rows += [trigger_lock(k, own) for k in main_gate_ids]
                 asm.strategy(p, f"Check[{j + 1},{i + 1},{b}]", rows)
 
@@ -822,7 +822,7 @@ def build_flip_game(
         rows += [trigger_done_y(j, j2) for j2 in range(j + 1, m)]
         rows.append(block_y(j))
         rows.append(reset_done_y(j))
-        rows += value_rows("y", j, 0, own)
+        rows += value_rows("y", j, 0)
         asm.strategy(p, "Zero", rows)
 
     resources = [pair_to_linear(a, b) for a, b in asm.resource_pairs]

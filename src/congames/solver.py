@@ -16,15 +16,15 @@ state is a p(1 + 4/n^psi)-approximate equilibrium, and the number of executed
 moves is polynomial in n; both facts are re-checked by the test suite with
 the exact verifier.
 
-All block arithmetic is exact: boundaries are rational powers of the base
-B = 2^(d+1) n^(2 psi + d + 1), and membership is decided by repeated exact
-division, never by floating logarithms.
+All block arithmetic is exact: membership is decided by comparing costs
+with exact powers of the base (see `partition_blocks`), never by floating
+logarithms.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
@@ -118,60 +118,44 @@ def parameters(
     return q, 1 / denom, th
 
 
-@dataclass
-class BlockPartition:
-    """Players grouped by optimistic-cost magnitude.
-
-    Block i (1-indexed) holds players whose optimistic cost lies in
-    (b_{i+1}, b_i], where b_i = ell_max * B^(1-i).  Players with zero
-    optimistic cost are listed separately and never scheduled.
-    """
-
-    base: int
-    m: int
-    boundaries: list[Fraction]
-    block_of: dict[int, int]
-    zero_players: list[int]
-    blocks: list[list[int]] = field(default_factory=list)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.m == 0
-
-
 def partition_blocks(
     ells: Sequence[Fraction], n: int, d: int, psi: int
-) -> BlockPartition:
-    """Exact block assignment from per-player optimistic costs."""
-    base = 2 ** (d + 1) * n ** (2 * psi + d + 1)
-    positive = {u: ell for u, ell in enumerate(ells) if ell > 0}
-    zero_players = [u for u, ell in enumerate(ells) if ell == 0]
+) -> tuple[int, list[list[int]]]:
+    """Exact block assignment from per-player optimistic costs.
+
+    Returns (base, blocks) with base B = 2^(d+1) n^(2 psi + d + 1); blocks[i-1]
+    lists block i's players in index order.  With l_max and l_min the largest
+    and smallest positive costs there are m = 1 + ceil(log_B(l_max / l_min))
+    blocks, the last possibly empty, and a player of cost l > 0 is in the
+    first block i <= m with l > l_max B^-i, so block i holds the costs in
+    (l_max B^-i, l_max B^(1-i)].  Players of cost zero are in no block, and
+    when every cost is zero there are no blocks.
+    """
     if any(ell < 0 for ell in ells):
         raise ValidationError("optimistic costs must be non-negative")
+    base = 2 ** (d + 1) * n ** (2 * psi + d + 1)
+    positive = [ell for ell in ells if ell]
     if not positive:
-        return BlockPartition(base, 0, [], {}, zero_players, [])
-    ell_max = max(positive.values())
-    ell_min = min(positive.values())
-
-    # m = 1 + ceil(log_base(ell_max / ell_min)), by repeated exact division.
-    m = 1
-    reach = ell_min
+        return base, []
+    ell_max = max(positive)
+    m, reach = 1, min(positive)
     while reach < ell_max:
         reach *= base
         m += 1
 
-    boundaries = [ell_max * Fraction(1, base**i) for i in range(m + 1)]
-    block_of: dict[int, int] = {}
+    lows = [ell_max / base**i for i in range(1, m + 1)]
     blocks: list[list[int]] = [[] for _ in range(m)]
-    for u, ell in sorted(positive.items()):
-        i = next((i for i in range(1, m + 1) if ell > boundaries[i]), None)
-        if i is None:
-            raise ContractViolationError(
-                f"player {u} fell below block {m}: ell={ell}"
-            )
-        block_of[u] = i
-        blocks[i - 1].append(u)
-    return BlockPartition(base, m, boundaries, block_of, zero_players, blocks)
+    for u, ell in enumerate(ells):
+        if ell:
+            for block, low in zip(blocks, lows):
+                if ell > low:
+                    block.append(u)
+                    break
+            else:
+                raise ContractViolationError(
+                    f"player {u} fell below block {m}: ell={ell}"
+                )
+    return base, blocks
 
 
 def approximation_bound(n: int, psi: int, p: Fraction) -> Fraction:
@@ -237,13 +221,17 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     if config.seed is not None:
         params["seed"] = config.seed
 
-    partition = partition_blocks(ells, n, d, psi)
-    params["base"] = partition.base
-    params["m"] = partition.m
-    params["block_of"] = [partition.block_of.get(u) for u in range(n)]
-    params["zero_players"] = partition.zero_players
+    base, blocks = partition_blocks(ells, n, d, psi)
+    block_of: list[Optional[int]] = [None] * n
+    for i, block in enumerate(blocks, 1):
+        for u in block:
+            block_of[u] = i
+    params["base"] = base
+    params["m"] = len(blocks)
+    params["block_of"] = block_of
+    params["zero_players"] = [u for u, ell in enumerate(ells) if ell == 0]
 
-    if partition.is_degenerate:
+    if not blocks:
         # Every optimistic cost is zero: the initial state costs 0 to all.
         params["degenerate"] = True
         return walk.trace(phases=[], parameters=params)
@@ -265,11 +253,10 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     )
 
     phases: list[dict] = []
-    for i in range(1, partition.m + 1):
-        block_i = partition.blocks[i - 1]
+    for i, block_i in enumerate(blocks, 1):
         if not block_i:
             continue
-        block_next = partition.blocks[i] if i < partition.m else []
+        block_next = blocks[i] if i < len(blocks) else []
         phase_start = len(walk.moves)
         while True:
             eligible = chain(walk.eligible(block_i, p), walk.eligible(block_next, q))

@@ -82,10 +82,6 @@ class ApproxReport:
     witness: tuple[int, int]
     per_player: list[Optional[Fraction]]
 
-    @property
-    def infinite(self) -> bool:
-        return self.rho_star is None
-
     def is_approx(self, rho: Optional[Fraction]) -> bool:
         """True when the state is a rho-approximate equilibrium (None = inf)."""
         if rho is None:
@@ -110,9 +106,9 @@ def approximation_factor(game: CongestionGame, state: State) -> ApproxReport:
     All ratios of one player share the numerator, the player's cost, so the
     worst is that cost over the cheapest deviation: the first argmin of the
     player's integer `cost_sums`.  Only the player's cost and that deviation's
-    cost become Fractions.  The witness is the first worst pair in (player, strategy) order.  The current
-    strategy is among the deviations, so a cheapest deviation of 0 means
-    0/0 = 1 or positive/0 = infinity.
+    cost become Fractions.  The witness is the first worst pair in (player,
+    strategy) order.  The current strategy is among the deviations, so a
+    cheapest deviation of 0 means 0/0 = 1 or positive/0 = infinity.
     """
     pairs: list[tuple[Optional[Fraction], tuple[int, int]]] = []
     for u in range(game.n_players):

@@ -1,10 +1,12 @@
-"""Model-level tests: latencies, loads, costs, potential, subgame views, input rules."""
+"""Model-level tests: latencies, loads, costs, potential, subgame views, input rules,
+and the package's public names."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import congames
 from congames import (
     CongestionGame,
     FlipInstance,
@@ -448,3 +450,10 @@ class TestInputRules:
         }
         with pytest.raises(ValidationError, match=f"player 1 has no strategy {bad}"):
             calls[entry]()
+
+
+def test_public_names_resolve():
+    # `from congames import *` imports every name in __all__
+    missing = [name for name in congames.__all__ if not hasattr(congames, name)]
+    assert missing == []
+    assert len(set(congames.__all__)) == len(congames.__all__)

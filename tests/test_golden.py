@@ -82,11 +82,15 @@ def test_trace_bytes_unchanged(name):
     assert run_case(name)[1].to_json().encode("utf-8") == recorded
 
 
-@pytest.mark.parametrize("mutation", ["cost_after", "phase_label", "dropped_move"])
+@pytest.mark.parametrize(
+    "mutation", ["cost_after", "phase_label", "dropped_move", "base"]
+)
 def test_replay_reports_mutation(mutation):
     game, trace = run_case("tiered.solve_scan.trace.json")
     moves = trace.moves
-    if mutation == "cost_after":
+    if mutation == "base":
+        trace.parameters["base"] += 1
+    elif mutation == "cost_after":
         moves[0] = replace(moves[0], cost_after=moves[0].cost_after + 1)
     elif mutation == "phase_label":
         moves[-1] = replace(moves[-1], phase=moves[-1].phase + 2)

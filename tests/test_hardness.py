@@ -373,11 +373,17 @@ class TestBuildFlipGame:
         assert names == ["LockS_0", "LockS[1,1,1]", "Reset1", "Reset2"]
 
     def test_mismatched_params_rejected(self):
-        b1 = derive_subcircuits(NOT_X)
-        b2 = derive_subcircuits(AND_XY)
-        params = GadgetParams.for_bundle(b2)
-        with pytest.raises(ValidationError):
-            build_flip_game(b1, params)
+        # the second bundle has as many gates as NOT_X's but two outputs,
+        # so its M is larger than the one NOT_X's params carry
+        gate = BundleGate(X(0), X(0))
+        two_outputs = Bundle(1, 2, CircuitGraph((gate, gate), (0, 1)))
+        for sized_for, bundle in (
+            (AND_XY, derive_subcircuits(NOT_X)),
+            (NOT_X, two_outputs),
+        ):
+            params = GadgetParams.for_bundle(derive_subcircuits(sized_for))
+            with pytest.raises(ValidationError):
+                build_flip_game(bundle, params)
 
     def test_hardness_mode_and_integer_values(self):
         _, _, game, _ = build(NAND_XY)

@@ -81,12 +81,15 @@ def reference_solve(game, config):
     params = {"n": n, "d": d, "psi": psi, "scheduler": config.scheduler}
     if config.seed is not None:
         params["seed"] = config.seed
-    partition = partition_blocks(ells, n, d, psi)
-    params["base"] = partition.base
-    params["m"] = partition.m
-    params["block_of"] = [partition.block_of.get(u) for u in range(n)]
-    params["zero_players"] = partition.zero_players
-    if partition.is_degenerate:
+    base, blocks = partition_blocks(ells, n, d, psi)
+    params["base"] = base
+    params["m"] = len(blocks)
+    params["block_of"] = [
+        next((i for i, block in enumerate(blocks, 1) if u in block), None)
+        for u in range(n)
+    ]
+    params["zero_players"] = [u for u, ell in enumerate(ells) if ell == 0]
+    if not blocks:
         params["degenerate"] = True
         return RunTrace(
             state.choices, state.choices, game.potential(state), [],
@@ -115,11 +118,10 @@ def reference_solve(game, config):
             if found is not None:
                 yield u, found
 
-    for i in range(1, partition.m + 1):
-        block_i = partition.blocks[i - 1]
+    for i, block_i in enumerate(blocks, 1):
         if not block_i:
             continue
-        block_next = partition.blocks[i] if i < partition.m else []
+        block_next = blocks[i] if i < len(blocks) else []
         phase_moves = 0
         while True:
             chosen = None

@@ -120,45 +120,41 @@ class TestSolverConfig:
 
 class TestPartitionBlocks:
     def test_all_equal_single_block(self):
-        part = partition_blocks([F(3)] * 5, 5, 1, 1)
-        assert part.m == 1
-        assert all(part.block_of[u] == 1 for u in range(5))
+        assert partition_blocks([F(3)] * 5, 5, 1, 1) == (2**2 * 5**4, [[0, 1, 2, 3, 4]])
 
     def test_boundary_example(self):
         # d=1, psi=1, n=4: base 1024; max 1024, value 1 lands in block 2
-        part = partition_blocks([F(1024), F(1)], 4, 1, 1)
-        assert part.base == 1024
-        assert part.m == 2
-        assert part.block_of == {0: 1, 1: 2}
-        assert part.boundaries[0] == 1024
-        assert part.boundaries[1] == 1
+        assert partition_blocks([F(1024), F(1)], 4, 1, 1) == (1024, [[0], [1]])
+
+    def test_last_block_may_be_empty(self):
+        # 1000/1 < 1024 still needs m = 2, but 1 * 1024 > 1000 puts 1 in block 1
+        assert partition_blocks([F(1000), F(1)], 4, 1, 1) == (1024, [[0, 1], []])
 
     def test_upper_end_inclusive(self):
         # value exactly on the second boundary goes to block 2
-        part = partition_blocks([F(1024**2), F(1024)], 4, 1, 1)
-        assert part.block_of[1] == 2
+        _, blocks = partition_blocks([F(1024**2), F(1024)], 4, 1, 1)
+        assert blocks[1] == [1]
 
     def test_zero_players_separated(self):
-        part = partition_blocks([F(0), F(5), F(0)], 3, 1, 1)
-        assert part.zero_players == [0, 2]
-        assert part.block_of == {1: 1}
+        _, blocks = partition_blocks([F(0), F(5), F(0)], 3, 1, 1)
+        assert blocks == [[1]]
 
     def test_all_zero_degenerate(self):
-        part = partition_blocks([F(0), F(0)], 2, 1, 1)
-        assert part.is_degenerate
-        assert part.m == 0
+        assert partition_blocks([F(0), F(0)], 2, 1, 1) == (2**2 * 2**4, [])
 
     def test_nonempty_blocks_at_most_n(self):
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randrange(2, 9)
             ells = [F(rng.randrange(1, 10**6)) for _ in range(n)]
-            part = partition_blocks(ells, n, 1, 1)
-            assert sum(1 for b in part.blocks if b) <= n
-            for u, i in part.block_of.items():
-                upper = part.boundaries[i - 1]
-                lower = part.boundaries[i]
-                assert lower < ells[u] <= upper
+            base, blocks = partition_blocks(ells, n, 1, 1)
+            assert sum(1 for b in blocks if b) <= n
+            assert sorted(u for b in blocks for u in b) == list(range(n))
+            top = max(ells)
+            for i, block in enumerate(blocks, 1):
+                assert block == sorted(block)
+                for u in block:
+                    assert top / base**i < ells[u] <= top / base ** (i - 1)
 
 
 class TestSolve:

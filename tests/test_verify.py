@@ -44,7 +44,6 @@ class TestApproximationFactor:
         g = CongestionGame([[1], [1]], [[[0]], [[1]]])
         report = approximation_factor(g, g.state([0, 0]))
         assert report.rho_star == 1
-        assert not report.infinite
 
     def test_witness_ratio(self):
         # cost 4 with a deviation to cost 1
@@ -56,7 +55,6 @@ class TestApproximationFactor:
     def test_zero_cost_deviation_infinite(self):
         g = CongestionGame([[4], [0, 0]], [[[0], [1]]])
         report = approximation_factor(g, g.state([0]))
-        assert report.infinite
         assert report.rho_star is None
         assert report.rho_star_str() == "inf"
         assert not report.is_approx(F(10**9))
@@ -78,7 +76,7 @@ class TestApproximationFactor:
             g = random_game(rng.randrange(10_000))
             s = g.state([rng.randrange(len(p)) for p in g.players])
             report = approximation_factor(g, s)
-            assert report.infinite or report.rho_star >= 1
+            assert report.rho_star is None or report.rho_star >= 1
 
 
 def reference_approximation_factor(game, state):
@@ -132,7 +130,7 @@ class TestApproximationFactorReference:
         rho_star, infinite, witness, per_player = reference_approximation_factor(
             game, state
         )
-        assert report.infinite == infinite
+        assert (report.rho_star is None) == infinite
         assert report.rho_star == rho_star
         assert report.witness == witness
         assert report.per_player == per_player
@@ -144,7 +142,7 @@ class TestApproximationFactorReference:
         state = g.state([0, 0])
         report = approximation_factor(g, state)
         assert report.per_player == [1, None]
-        assert report.infinite and report.witness == (1, 1)
+        assert report.rho_star is None and report.witness == (1, 1)
         assert reference_approximation_factor(g, state)[1:] == (
             True, (1, 1), [1, None]
         )

@@ -2,17 +2,21 @@
 
 from fractions import Fraction
 
-from congames import best_response, find_threshold_move
+from congames import (
+    best_response, find_threshold_move, optimistic_cost, partition_blocks,
+)
 
 
 def check_trace(game, trace, q=None):
     """One message per rule that `trace` breaks on `game`; [] for none.
 
     Moves are best responses beating their factor strictly, with exact costs
-    and potentials; a solve trace (q None) keeps block b to phases b-1 (q)
-    and b (p) in order, matches its summaries and move cap, and leaves no
-    move at a phase end, nor one beating its bound (1 if degenerate) at the
-    end; a dynamics trace leaves no q-move at the end unless truncated.
+    and potentials; a solve trace (q None) starts every player on her first
+    cheapest solo strategy, records `partition_blocks` of those solo costs
+    under its d and psi, keeps block b to phases b-1 (q) and b (p) in order,
+    matches its summaries and move cap, and leaves no move at a phase end, nor
+    one beating its bound (1 if degenerate) at the end; a dynamics trace
+    leaves no q-move at the end unless truncated.
     """
     errors, blocks, runs, last = [], None, [], 0
     state = game.state(trace.initial_state)
@@ -20,6 +24,17 @@ def check_trace(game, trace, q=None):
     end = None if trace.truncated else q
     if q is None:
         params = trace.parameters
+        n = game.n_players
+        ells, starts = zip(*(optimistic_cost(game, u) for u in range(n)))
+        base, parts = partition_blocks(ells, n, params["d"], params["psi"])
+        block_of = {u: i for i, part in enumerate(parts, 1) for u in part}
+        derived = {"base": base, "m": len(parts),
+                   "block_of": [block_of.get(u) for u in range(n)],
+                   "zero_players": [u for u in range(n) if ells[u] == 0]}
+        if tuple(trace.initial_state) != starts:
+            errors.append(f"the initial state is not the solo best responses {starts}")
+        if {k: params[k] for k in derived} != derived:
+            errors.append(f"the recorded partition is not {derived}")
         blocks, labels = params["block_of"], [m.phase for m in trace.moves]
         runs = [i for i in range(1, params["m"] + 1) if i in blocks]
         summaries = [{"i": i, "block_size": blocks.count(i), "moves": labels.count(i)}
