@@ -8,13 +8,13 @@ is the sum of her resources' latencies at their loads.
 
 All arithmetic is exact.  A latency function keeps its coefficients as
 integer numerators over one common denominator (the lcm of the coefficient
-denominators) and evaluates by Horner's rule in integers, building a single
-`Fraction` per value.  A game evaluates each latency once, into its value
-table (`CongestionGame.latency_table`, ints where integral, else Fractions);
-costs and potentials are sums of table entries, each returned as one
-`fractions.Fraction`.  `cost_sums` hands out the unwrapped sums (ints when the
-table is integral) so that best responses compare integers.  Two modes are
-supported:
+denominators) and evaluates by Horner's rule in integers; a value is an int
+when it is integral and a `Fraction` otherwise, so an integral game never
+builds a `Fraction` for a latency value.  A game evaluates each latency once,
+into its value table (`CongestionGame.latency_table`); costs and potentials
+are sums of table entries, each returned as one `fractions.Fraction`.
+`cost_sums` hands out the unwrapped sums (ints when the table is integral) so
+that best responses compare integers.  Two modes are supported:
 
 * ``standard``: polynomial latencies with non-negative coefficients (the
   usual setting; monotonicity and the potential sandwich hold).
@@ -175,13 +175,13 @@ class LatencyFunction:
     def degree(self) -> int:
         """Effective degree: trailing zero coefficients do not count."""
         d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
+        while d > 0 and self.coeffs[d].numerator == 0:
             d -= 1
         return d
 
     @property
     def has_nonnegative_coeffs(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return all(c.numerator >= 0 for c in self.coeffs)
 
     @cached_property
     def _horner(self) -> tuple[tuple[int, ...], int]:
@@ -190,15 +190,23 @@ class LatencyFunction:
         nums = (c.numerator * (den // c.denominator) for c in reversed(self.coeffs))
         return tuple(nums), den
 
-    def eval(self, load: int) -> Fraction:
-        """Exact value at an integer load >= 1."""
+    def eval(self, load: int) -> Value:
+        """Exact value at an integer load >= 1: an int when it is integral.
+
+        With integer coefficients the value is the Horner total itself;
+        otherwise it is that total over the common denominator, a `Fraction`
+        unless it reduces to an integer.
+        """
         if not isinstance(load, int) or load < 1:
             raise ValidationError(f"latency evaluated at invalid load {load!r}")
         nums, den = self._horner
         total = 0
         for a in nums:
             total = total * load + a
-        return Fraction(total, den)
+        if den == 1:
+            return total
+        value = Fraction(total, den)
+        return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -313,13 +321,13 @@ class CongestionGame:
         """table[e][k] = f_e(k) for 1 <= k <= len(users[e]); table[e][0] = 0.
 
         No state puts more than len(users[e]) players on e, so every load a
-        cost asks for is in the table.  Integer values are plain ints.
+        cost asks for is in the table.  Integer values are plain ints, as
+        `LatencyFunction.eval` returns them.
         """
-        table = []
-        for f, users in zip(self.resources, self.users):
-            col = (f.eval(k) for k in range(1, len(users) + 1))
-            table.append((0, *(v.numerator if v.denominator == 1 else v for v in col)))
-        return tuple(table)
+        return tuple(
+            (0, *map(f.eval, range(1, len(users) + 1)))
+            for f, users in zip(self.resources, self.users)
+        )
 
     def strategy(self, u: int, i: int) -> tuple[int, ...]:
         """Player u's strategy i; an index u does not have raises ValidationError."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Optional
 
-from .core import CongestionGame, State, to_factor, to_fraction, to_integer
+from .core import CongestionGame, State, Value, to_factor, to_fraction, to_integer
 from .errors import ValidationError
 from .serialize import format_rational, json_text, write_json
 
@@ -115,17 +115,19 @@ class RunTrace:
             )
 
 
-def optimistic_cost(game: CongestionGame, u: int) -> tuple[Fraction, int]:
+def optimistic_cost(game: CongestionGame, u: int) -> tuple[Value, int]:
     """Minimum cost u could have alone in the game, with its argmin strategy.
 
-    Returns (cost, strategy index); ties break toward the lowest index.
+    Returns (cost, strategy index); ties break toward the lowest index.  The
+    cost is the unwrapped table sum, as in `CongestionGame.cost_sums`: an int
+    when the game's latencies are integral, else a Fraction.
     """
     if game.mode != "standard":
         raise ValidationError("optimistic cost is defined for standard mode")
     table = game.latency_table
     costs = [sum(table[e][1] for e in strat) for strat in game.players[u]]
     best_cost = min(costs)
-    return Fraction(best_cost), costs.index(best_cost)
+    return best_cost, costs.index(best_cost)
 
 
 def best_response(game: CongestionGame, state: State, u: int) -> tuple[int, Fraction]:

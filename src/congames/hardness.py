@@ -881,7 +881,7 @@ def positivize(game: CongestionGame, alpha: int) -> CongestionGame:
     scale = game.n_resources * alpha
     new_resources = []
     for f in game.resources:
-        a, b = f.eval(1).numerator, f.eval(2).numerator  # integral in hardness mode
+        a, b = f.eval(1), f.eval(2)  # ints: hardness values are integral
         new_a = 1 if a == 0 else a * scale
         new_b = 1 if b == 0 else b * scale
         new_resources.append(pair_to_linear(new_a, new_b))

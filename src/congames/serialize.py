@@ -25,7 +25,6 @@ from .core import (
     CongestionGame,
     LatencyFunction,
     digit_limit_error,
-    to_fraction,
     to_integer,
 )
 from .errors import ValidationError
@@ -74,7 +73,7 @@ def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
     try:
         mode = doc["mode"]
         resources = [
-            LatencyFunction([to_fraction(c) for c in _listed(r["coeffs"], "coeffs")])
+            LatencyFunction(_listed(r["coeffs"], "coeffs"))
             for r in _listed(doc["resources"], "resources")
         ]
         players = [

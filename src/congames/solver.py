@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .core import CongestionGame, State, to_fraction, to_integer
+from .core import CongestionGame, State, Value, to_fraction, to_integer
 from .dynamics import RunTrace, Walk, optimistic_cost
 from .errors import ContractViolationError, ParameterError, ValidationError
 from .serialize import format_rational
@@ -119,7 +119,7 @@ def parameters(
 
 
 def partition_blocks(
-    ells: Sequence[Fraction], n: int, d: int, psi: int
+    ells: Sequence[Value], n: int, d: int, psi: int
 ) -> tuple[int, list[list[int]]]:
     """Exact block assignment from per-player optimistic costs.
 
@@ -127,9 +127,12 @@ def partition_blocks(
     lists block i's players in index order.  With l_max and l_min the largest
     and smallest positive costs there are m = 1 + ceil(log_B(l_max / l_min))
     blocks, the last possibly empty, and a player of cost l > 0 is in the
-    first block i <= m with l > l_max B^-i, so block i holds the costs in
+    first block i <= m with l B^i > l_max, so block i holds the costs in
     (l_max B^-i, l_max B^(1-i)].  Players of cost zero are in no block, and
     when every cost is zero there are no blocks.
+
+    The test multiplies instead of dividing: l_max / B^i would be a float for
+    int costs, while l B^i > l_max is exact for ints and Fractions alike.
     """
     if any(ell < 0 for ell in ells):
         raise ValidationError("optimistic costs must be non-negative")
@@ -137,23 +140,22 @@ def partition_blocks(
     positive = [ell for ell in ells if ell]
     if not positive:
         return base, []
-    ell_max = max(positive)
-    m, reach = 1, min(positive)
+    ell_max, reach = max(positive), min(positive)
+    powers = [base]  # B^1 .. B^m
     while reach < ell_max:
         reach *= base
-        m += 1
+        powers.append(powers[-1] * base)
 
-    lows = [ell_max / base**i for i in range(1, m + 1)]
-    blocks: list[list[int]] = [[] for _ in range(m)]
+    blocks: list[list[int]] = [[] for _ in powers]
     for u, ell in enumerate(ells):
         if ell:
-            for block, low in zip(blocks, lows):
-                if ell > low:
+            for block, power in zip(blocks, powers):
+                if ell * power > ell_max:
                     block.append(u)
                     break
             else:
                 raise ContractViolationError(
-                    f"player {u} fell below block {m}: ell={ell}"
+                    f"player {u} fell below block {len(blocks)}: ell={ell}"
                 )
     return base, blocks
 
@@ -203,7 +205,7 @@ def solve(game: CongestionGame, config: Optional[SolverConfig] = None) -> RunTra
     psi = config.psi
     rng = random.Random(config.seed)
 
-    ells: list[Fraction] = []
+    ells: list[Value] = []
     initial_choices: list[int] = []
     for u in range(n):
         ell, idx = optimistic_cost(game, u)

@@ -57,6 +57,16 @@ class TestOptimisticCost:
         with pytest.raises(ValidationError):
             optimistic_cost(g, 0)
 
+    def test_integral_game_gives_int(self):
+        g = CongestionGame([[0, 1], [0, 3]], [[[0], [1]]])
+        cost, _ = optimistic_cost(g, 0)
+        assert type(cost) is int and cost == 1
+
+    def test_rational_game_gives_fraction(self):
+        g = CongestionGame([["1/2", 1], [0, 3]], [[[0], [1]]])
+        cost, idx = optimistic_cost(g, 0)
+        assert type(cost) is F and (cost, idx) == (F(3, 2), 0)
+
 
 class TestBestResponse:
     def test_already_minimal(self):

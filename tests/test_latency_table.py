@@ -2,7 +2,8 @@
 
 Every cost and potential is a sum of table entries; these properties
 recompute each one from `LatencyFunction.eval` over `load_profile`, and
-`eval` itself is checked against a power sum of `Fraction`s.
+`eval` itself, the integer kernel, is checked against a power sum of
+`Fraction`s.
 """
 
 from fractions import Fraction
@@ -35,14 +36,22 @@ def power_sum(coeffs, load):
 )
 def test_eval_matches_power_sum(coeffs, load):
     value = LatencyFunction(coeffs).eval(load)
-    assert exact(value, power_sum(coeffs, load))
+    assert exact_value(value, power_sum(coeffs, load))
 
 
 @settings(max_examples=200, deadline=None)
 @given(thousand_bits, st.integers(1, 2**1000), st.integers(1, 64))
 def test_affine_eval_with_negative_offset(slope, offset, load):
     coeffs = [-offset, slope]
-    assert exact(LatencyFunction(coeffs).eval(load), power_sum(coeffs, load))
+    value = LatencyFunction(coeffs).eval(load)
+    assert exact_value(value, power_sum(coeffs, load))
+
+
+def exact_value(value, expected):
+    """`value` equals the Fraction `expected`, as an int exactly when integral."""
+    kind = int if expected.denominator == 1 else Fraction
+    return type(value) is kind and value == expected
+
 
 # Denominators up to 3 give both integral and fractional latency values.
 coefficient = st.fractions(min_value=0, max_value=4, max_denominator=3)

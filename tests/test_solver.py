@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congames import (
     CongestionGame,
@@ -155,6 +157,46 @@ class TestPartitionBlocks:
                 assert block == sorted(block)
                 for u in block:
                     assert top / base**i < ells[u] <= top / base ** (i - 1)
+
+    def test_exact_beyond_float_range(self):
+        # A quotient 10**400 / 1024**i of ints would overflow a float.
+        top = 10**400
+        ells = [top, top // 1024, top // 1024 + 1, 1]
+        expected = [[0, 2], [1]] + [[]] * 130 + [[3], []]
+        assert partition_blocks(ells, 4, 1, 1) == (1024, expected)
+        assert partition_blocks([F(e) for e in ells], 4, 1, 1) == (1024, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**300)), max_size=8),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(1, 2),
+    )
+    def test_int_costs_match_fraction_costs_and_reference(self, ells, n, d, psi):
+        result = partition_blocks(ells, n, d, psi)
+        assert result == partition_blocks([F(e) for e in ells], n, d, psi)
+        assert result == (result[0], reference_blocks(ells, result[0]))
+
+
+def reference_blocks(ells, base):
+    """Block i holds the costs in (l_max B^-i, l_max B^(1-i)], in Fractions.
+
+    m is the least m >= 1 with l_min >= l_max B^(1-m), that is
+    1 + ceil(log_B(l_max / l_min)).
+    """
+    positive = [ell for ell in ells if ell]
+    if not positive:
+        return []
+    top, low = max(positive), min(positive)
+    m = 1
+    while low < F(top, base ** (m - 1)):
+        m += 1
+    bounds = [F(top, base**i) for i in range(m + 1)]
+    return [
+        [u for u, ell in enumerate(ells) if bounds[i] < ell <= bounds[i - 1]]
+        for i in range(1, m + 1)
+    ]
 
 
 class TestSolve:
