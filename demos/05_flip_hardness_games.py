@@ -1,10 +1,12 @@
-"""From a NAND circuit to a congestion game whose equilibria are Flip minima.
+"""From a NAND circuit to a congestion game meant to encode Flip minima.
 
 Flip: given a circuit over input bits, minimize the weighted output value
 under single-bit flips.  The builder turns a circuit bundle into a game with
 affine latencies (negative offsets allowed) in which every resource is
-shared by at most two players; enumerating the game's exact equilibria and
-reading the input players' strategies recovers the circuit's local minima.
+shared by at most two players.  Its exact equilibria are meant to encode the
+circuit's local minima, read off the input players' strategies; that is
+checked by enumeration on small bundles such as this one, and it is known to
+fail on y = NAND(x3, NAND(x2, x1)) (ROADMAP item 1).
 """
 
 import itertools

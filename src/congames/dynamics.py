@@ -257,7 +257,7 @@ def epsilon_br_dynamics(
     is hit (the trace is then flagged truncated, which is not an error).
     The sweeps drive one `Walk`, so a player no move has touched since her
     last check is not checked again.  `move_cap` must be an integer of at
-    least 1.
+    least 1, and `seed` an integer or None.
     """
     epsilon = to_fraction(epsilon)
     if epsilon <= 0:
@@ -268,7 +268,7 @@ def epsilon_br_dynamics(
     if order not in ("roundrobin", "random"):
         raise ValidationError(f"unknown order {order!r}")
     q = 1 + epsilon
-    rng = random.Random(seed)
+    rng = random.Random(None if seed is None else to_integer(seed, "seed"))
 
     walk = Walk(game, state0)
     while True:

@@ -12,10 +12,11 @@ A bundle consists of a *main* circuit (the Flip instance, plus one
 consistency guard gate per output) and one *comparison* circuit per
 (output j, input i, target bit b).  A comparison circuit evaluates, over the
 unflipped input bits, whether rewriting bit i to b would switch output j to
-zero while leaving higher outputs unchanged; by construction it never reads
-bit i itself (the rewrite is hardwired) nor outputs <= j.  Bundles are
-normally produced by `derive_subcircuits`, but any bundle with the same
-interface is accepted, so hand-built bundles remain the authoritative input.
+zero while leaving higher outputs unchanged.  It may read neither bit i (the
+rewrite is hardwired) nor any output <= j, and `Bundle` refuses one that
+does.  Bundles are normally produced by `derive_subcircuits`, but any bundle
+that keeps this interface is accepted, so hand-built bundles remain the
+authoritative input.
 
 Game cast per bundle (players):
   Controller        locks the main circuit or one comparison circuit, or
@@ -39,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Container, Optional, Sequence, Union
 
 from .core import (
     CongestionGame,
@@ -94,24 +95,26 @@ class CircuitGraph:
         return values
 
 
-def _check_gates(graph: CircuitGraph, sizes: dict[str, int]) -> None:
-    """Validate the gate references of one circuit.
+def _check_gates(graph: CircuitGraph, readable: dict[str, Container[int]]) -> None:
+    """Validate the gate references of one circuit: the one wire rule.
 
-    Every gate input is either ``(kind, i)`` with ``kind`` in `sizes` and
-    ``0 <= i < sizes[kind]``, or ``("g", k)`` naming an earlier gate; every
+    Every gate input is either ``(kind, i)`` with ``kind`` in `readable` and
+    ``i in readable[kind]``, or ``("g", k)`` naming an earlier gate; every
     designated output names a gate.
     """
     for k, gate in enumerate(graph.gates):
         for kind, idx in (gate.a, gate.b):
-            limit = k if kind == "g" else sizes.get(kind)
-            if limit is None:
-                raise ValidationError(f"gate {k} has unsupported input kind {kind!r}")
-            if not 0 <= idx < limit:
-                if kind == "g":
+            if kind == "g":
+                if not 0 <= idx < k:
                     raise ValidationError(
                         f"gate {k} must reference an earlier gate, got {idx}"
                     )
-                raise ValidationError(f"gate {k} reads unknown {kind} {idx}")
+            elif kind not in readable:
+                raise ValidationError(f"gate {k} has unsupported input kind {kind!r}")
+            elif idx not in readable[kind]:
+                raise ValidationError(
+                    f"gate {k} reads {kind} {idx}, which its circuit may not read"
+                )
     for o in graph.outputs:
         if not 0 <= o < len(graph.gates):
             raise ValidationError(f"designated output {o} is not a gate")
@@ -175,7 +178,7 @@ class FlipInstance(CircuitGraph):
             raise ValidationError("circuit needs at least one gate")
         if not self.outputs:
             raise ValidationError("circuit needs at least one output")
-        _check_gates(self, {"x": self.n_inputs})
+        _check_gates(self, {"x": range(self.n_inputs)})
 
     def eval_outputs(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.n_inputs:
@@ -253,6 +256,10 @@ class Bundle:
     missing) entry means "rewriting bit i to b never helps output j": the
     Controller simply gets no strategy for it.  A constant-1 entry yields a
     Controller strategy with no gate locks attached.
+
+    Construction enforces the wire rule of every circuit: the main circuit
+    reads any x and y, and comparison (j, i, b) reads every x but x_i and
+    only the outputs y_j' with j' > j.
     """
 
     n_inputs: int
@@ -266,20 +273,21 @@ class Bundle:
                 f"main circuit designates {len(self.main.outputs)} outputs, "
                 f"expected {self.n_outputs}"
             )
+        inputs, outputs = range(self.n_inputs), range(self.n_outputs)
+        _check_gates(self.main, {"x": inputs, "y": outputs})
         for (j, i, b), comp in self.comparisons.items():
-            if not (0 <= j < self.n_outputs and 0 <= i < self.n_inputs and b in (0, 1)):
+            integral = all(type(v) is int for v in (j, i, b))
+            if not (integral and j in outputs and i in inputs and b in (0, 1)):
                 raise ValidationError(f"bad comparison key {(j, i, b)}")
             if isinstance(comp, int):
                 if comp not in (0, 1):
-                    raise ValidationError(f"constant comparison must be 0 or 1")
+                    raise ValidationError("constant comparison must be 0 or 1")
             elif len(comp.outputs) != 1:
                 raise ValidationError(
                     f"comparison {(j, i, b)} must designate exactly one output"
                 )
-        sizes = {"x": self.n_inputs, "y": self.n_outputs}
-        for graph in (self.main, *self.comparisons.values()):
-            if isinstance(graph, CircuitGraph):
-                _check_gates(graph, sizes)
+            else:
+                _check_gates(comp, {"x": set(inputs) - {i}, "y": outputs[j + 1:]})
 
     def present_keys(self) -> list[CompKey]:
         """Comparison slots that yield a Controller strategy, sorted."""
@@ -322,11 +330,12 @@ def bundle_from_dict(doc: dict) -> Bundle:
             key = tuple(int(digits) for digits in match.groups()) if match else None
             if key is None or text != "{},{},{}".format(*key):
                 raise ValidationError(f"bad comparison key {text!r}")
-            comps[key] = (
-                to_integer(cdoc["const"], "const")
-                if "const" in cdoc
-                else _graph_from_json(cdoc, lockable=True)
-            )
+            if "const" not in cdoc:
+                comps[key] = _graph_from_json(cdoc, lockable=True)
+            elif "gates" in cdoc:
+                raise ValidationError(f"comparison {text} has both const and gates")
+            else:
+                comps[key] = to_integer(cdoc["const"], "const")
         counts = (to_integer(doc[name], name) for name in ("inputs", "outputs"))
         return Bundle(*counts, _graph_from_json(doc["main"], lockable=True), comps)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -345,7 +354,7 @@ class _NandBuilder:
         self._memo: dict[tuple[Ref, Ref], int] = {}
 
     def nand(self, a, b):
-        """NAND over values that are 0, 1, or a symbolic ref."""
+        """NAND over 0, 1 or symbolic refs; it returns 0, 1 or a ("g", k) ref."""
         if a == 0 or b == 0:
             return 1
         if a == 1 and b == 1:
@@ -369,9 +378,6 @@ class _NandBuilder:
     def xnor(self, a, b):
         inner = self.nand(a, b)
         return self.inv(self.nand(self.nand(a, inner), self.nand(b, inner)))
-
-    def buffer(self, a):
-        return self.inv(self.inv(a))
 
 
 def derive_subcircuits(circuit: FlipInstance) -> Bundle:
@@ -432,10 +438,7 @@ def _derive_comparison(
         # relaxes to the value it computes.
         if rewritten_j in (0, 1):
             return 1 - rewritten_j
-        if rewritten_j[0] != "g":
-            inverted = builder.inv(rewritten_j)  # displays NOT(literal)
-            return _finish_comparison(builder, inverted, OUT1_VARIANTS, i, j)
-        return _finish_comparison(builder, rewritten_j, ("110",), i, j)
+        return _finish_comparison(builder, rewritten_j, ("110",))
 
     predicate = builder.inv(rewritten_j)
     for j2 in range(j + 1, len(circuit.outputs)):
@@ -444,25 +447,18 @@ def _derive_comparison(
         )
     if predicate in (0, 1):
         return predicate
-    if predicate[0] != "g":
-        predicate = builder.buffer(predicate)
-    return _finish_comparison(builder, predicate, OUT1_VARIANTS, i, j)
+    return _finish_comparison(builder, predicate, OUT1_VARIANTS)
 
 
 def _finish_comparison(
-    builder: _NandBuilder, out_ref, out_variants: tuple[str, ...], i: int, j: int
+    builder: _NandBuilder, out_ref: Ref, out_variants: tuple[str, ...]
 ) -> CircuitGraph:
     out_idx = out_ref[1]
     gates = tuple(
         BundleGate(a, b2, out_variants if k == out_idx else ALL_VARIANTS)
         for k, (a, b2) in enumerate(builder.gates)
     )
-    graph = CircuitGraph(gates, (out_idx,))
-    for g in graph.gates:
-        for ref in (g.a, g.b):
-            if ref == ("x", i) or (ref[0] == "y" and ref[1] <= j):
-                raise ValidationError("derived comparison reads a forbidden input")
-    return graph
+    return CircuitGraph(gates, (out_idx,))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +564,7 @@ class _GameAssembler:
 
     def strategy(self, player: int, label: str, resources: list[int]) -> None:
         self.strategy_labels[player].append(label)
-        self.strategies[player].append(sorted(set(resources)))
+        self.strategies[player].append(resources)
 
 
 def build_flip_game(

@@ -47,8 +47,8 @@ class SolverConfig:
     The default scheduler "scan" picks the lowest-index eligible block-i
     player, else the lowest-index eligible block-(i+1) player; "random"
     picks uniformly among all eligible players using `seed`.
-    psi and move_cap must be integers (3.0 becomes 3; True and 2.5 are
-    refused).
+    psi, move_cap and seed must be integers (3.0 becomes 3; True and 2.5
+    are refused).
     """
 
     psi: int = 1
@@ -73,6 +73,8 @@ class SolverConfig:
         if self.move_cap is not None:
             cap = to_integer(self.move_cap, "move_cap", least=0)
             object.__setattr__(self, "move_cap", cap)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", to_integer(self.seed, "seed"))
 
 
 def theta(d: int, q: Fraction) -> Fraction:

@@ -442,12 +442,12 @@ def audit_identities(
     if game.mode != "standard":
         raise ValidationError("audits are defined for standard-mode games")
     trials = to_integer(trials, "trials", least=1)
+    rng = random.Random(to_integer(seed, "seed"))
     # The brute force comes first so that a bad budget fails before the trials.
     try:
         phi_min: Optional[Fraction] = brute_min_potential(game, budget)[1]
     except BudgetExceededError:
         phi_min = None
-    rng = random.Random(seed)
     report = AuditReport()
     n = game.n_players
 

@@ -13,6 +13,7 @@ from congames import (
     GadgetParams,
     GenSpec,
     LatencyFunction,
+    SolverConfig,
     State,
     SubgameView,
     ValidationError,
@@ -22,6 +23,7 @@ from congames import (
     brute_min_potential,
     derive_subcircuits,
     enumerate_equilibria,
+    epsilon_br_dynamics,
     generate,
     load_profile,
     positivize,
@@ -268,6 +270,12 @@ class TestSubgameView:
         with pytest.raises(ValidationError):
             view.player_cost(s, 1)
 
+    @pytest.mark.parametrize("player", [2, -1])
+    def test_unknown_active_player_rejected(self, player):
+        g = two_resource_game()
+        with pytest.raises(ValidationError, match="unknown player"):
+            SubgameView.freeze(g, g.state([0, 0]), [0, player])
+
 
 class TestGrowthBounds:
     def test_step_and_solo_bounds(self):
@@ -359,6 +367,12 @@ class TestInputRules:
         return GenSpec(**{**base, **fields})
 
     @staticmethod
+    def eps_br(seed):
+        g = two_resource_game()
+        return epsilon_br_dynamics(g, g.state([0, 0]), F(1, 2), order="random",
+                                   seed=seed)
+
+    @staticmethod
     def report():
         g = two_resource_game()
         return approximation_factor(g, g.state([0, 0]))
@@ -402,6 +416,18 @@ class TestInputRules:
             for v in (2.5, True, -1)
         ),
         *(
+            (f"{entry}-seed-{v!r}", "seed must be an integer", call)
+            for v in (True, 2.5, "7")
+            for entry, call in (
+                ("SolverConfig",
+                 lambda v=v: SolverConfig(seed=v, scheduler="random")),
+                ("epsilon_br_dynamics",
+                 lambda v=v: TestInputRules.eps_br(seed=v)),
+                ("audit_identities",
+                 lambda v=v: audit_identities(two_resource_game(), seed=v, trials=1)),
+            )
+        ),
+        *(
             (f"is_approx-{v!r}", "rho must be >= 1",
              lambda v=v: TestInputRules.report().is_approx(v))
             for v in (F(1, 2), "1/2")
@@ -432,6 +458,11 @@ class TestInputRules:
             assert oracle(g, budget=100.0) == oracle(g, budget=100)
         assert enumerate_equilibria(g, order=[1.0, 0, 2, 3]) == enumerate_equilibria(g)
         assert audit_identities(g, seed=0, trials=3.0).rosenthal.trials == 3
+        assert type(SolverConfig(seed=3.0).seed) is int
+        assert self.eps_br(seed=3.0).to_json() == self.eps_br(seed=3).to_json()
+        assert audit_identities(g, seed=3.0, trials=3) == audit_identities(
+            g, seed=3, trials=3
+        )
 
     @pytest.mark.parametrize("bad", [2, -1])
     @pytest.mark.parametrize("entry", [

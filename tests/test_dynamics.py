@@ -203,6 +203,15 @@ class TestEpsilonDynamics:
         with pytest.raises(ValidationError):
             epsilon_br_dynamics(g, g.state([0]), F(0))
 
+    @pytest.mark.parametrize("mode, order, message", [
+        pytest.param("hardness", "roundrobin", "standard-mode game", id="hardness-game"),
+        pytest.param("standard", "fifo", "unknown order", id="unknown-order"),
+    ])
+    def test_bad_call_rejected(self, mode, order, message):
+        g = CongestionGame([[1, 0]], [[[0]]], mode=mode)
+        with pytest.raises(ValidationError, match=message):
+            epsilon_br_dynamics(g, g.state([0]), F(1, 10), order=order)
+
 
 class TestTraceExport:
     def test_csv_columns(self):

@@ -64,6 +64,12 @@ def test_strategy_size_exceeding_resources_rejected():
         spec(strategy_size=(1, 7))
 
 
+@pytest.mark.parametrize("name, pair", [("strategy_size", (2, 1)), ("coeff_range", (4, 0))])
+def test_reversed_range_rejected(name, pair):
+    with pytest.raises(ValidationError, match="bad .*range"):
+        spec(**{name: pair})
+
+
 def test_rejection_sampling_cap():
     # only one distinct singleton exists, so two strategies cannot be drawn
     with pytest.raises(GenerationError):

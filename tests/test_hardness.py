@@ -584,6 +584,13 @@ class TestBundleValidation:
                      id="key-alias"),
         pytest.param(lambda d: d["comparisons"].update({"0,0,1": {"const": 0.5}}),
                      id="const-frac"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0,1": {
+            "const": 1, "gates": [{"a": {"y": 0}, "b": {"y": 0}}], "outputs": [0]}}),
+            id="const-and-gates"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0,1": {
+            "const": 0, "gates": "junk"}}), id="const-and-junk-gates"),
+        pytest.param(lambda d: d.pop("main"), id="main-missing"),
+        pytest.param(lambda d: d.update(comparisons=[]), id="comparisons-list"),
     ])
     def test_bundle_document_rejected(self, edit):
         doc = bundle_to_dict(derive_subcircuits(NOT_X))
@@ -591,6 +598,44 @@ class TestBundleValidation:
         edit(doc)
         with pytest.raises(ValidationError):
             bundle_from_dict(doc)
+
+    @pytest.mark.parametrize("key, ref", [
+        pytest.param((0, 0, 1), X(0), id="reads-x_i"),
+        pytest.param((0, 0, 1), ("y", 0), id="reads-y_j"),
+        pytest.param((1, 0, 1), ("y", 0), id="reads-lower-y"),
+    ])
+    def test_comparison_interface_enforced(self, key, ref):
+        # Comparison (j, i, b) may read every x but x_i and only y_j' with
+        # j' > j, whether built in code or read from a document.
+        main = CircuitGraph((BundleGate(X(0), X(1)), BundleGate(X(1), X(0))), (0, 1))
+        reading = lambda r: CircuitGraph((BundleGate(X(1), r),), (0,))
+        Bundle(2, 2, main, {(0, 0, 1): reading(("y", 1))})  # a higher output
+        doc = bundle_to_dict(Bundle(2, 2, main, {key: reading(X(1))}))
+        with pytest.raises(ValidationError, match="which its circuit may not read"):
+            Bundle(2, 2, main, {key: reading(ref)})
+        doc["comparisons"]["{},{},{}".format(*key)]["gates"][0]["b"] = {ref[0]: ref[1]}
+        with pytest.raises(ValidationError, match="which its circuit may not read"):
+            bundle_from_dict(doc)
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: BundleGate(X(0), X(0), ()), "at least one lock variant",
+                     id="gate-without-variants"),
+        pytest.param(lambda: FlipInstance(1, [], [0]), "at least one gate",
+                     id="circuit-without-gates"),
+        pytest.param(lambda: FlipInstance(1, [(X(0), X(0))], []), "at least one output",
+                     id="circuit-without-outputs"),
+        pytest.param(lambda: Bundle(1, 1, CircuitGraph((BundleGate(X(0), X(0)),), (0,)),
+                                    {(0, 0, 1): 2}),
+                     "constant comparison must be 0 or 1", id="const-two"),
+        pytest.param(lambda: Bundle(1, 1, CircuitGraph((BundleGate(X(0), X(0)),), (0,)),
+                                    {(0.0, 0, 1): 1}),
+                     "bad comparison key", id="key-not-int"),
+        pytest.param(lambda: GadgetParams(2, 8, 8, 64), "scale ladder violated",
+                     id="ladder-not-increasing"),
+    ])
+    def test_constructor_refuses(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValidationError):

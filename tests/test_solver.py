@@ -144,6 +144,11 @@ class TestPartitionBlocks:
     def test_all_zero_degenerate(self):
         assert partition_blocks([F(0), F(0)], 2, 1, 1) == (2**2 * 2**4, [])
 
+    @pytest.mark.parametrize("ells", [[3, -1], [F(1, 2), F(-1, 3)]])
+    def test_negative_cost_rejected(self, ells):
+        with pytest.raises(ValidationError, match="non-negative"):
+            partition_blocks(ells, 4, 1, 1)
+
     def test_nonempty_blocks_at_most_n(self):
         rng = random.Random(3)
         for _ in range(50):
