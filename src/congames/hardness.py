@@ -14,9 +14,10 @@ consistency guard gate per output) and one *comparison* circuit per
 unflipped input bits, whether rewriting bit i to b would switch output j to
 zero while leaving higher outputs unchanged.  It may read neither bit i (the
 rewrite is hardwired) nor any output <= j, and `Bundle` refuses one that
-does.  Bundles are normally produced by `derive_subcircuits`, but any bundle
-that keeps this interface is accepted, so hand-built bundles remain the
-authoritative input.
+does.  A predicate that always holds is the gateless circuit, and one that
+never holds has no comparison circuit.  Bundles are normally produced by
+`derive_subcircuits`, but any bundle that keeps this interface is accepted,
+so hand-built bundles remain the authoritative input.
 
 Game cast per bundle (players):
   Controller        locks the main circuit or one comparison circuit, or
@@ -37,6 +38,7 @@ f(1)=a and f(2)=b, realized as the affine function (b-a)x + 2a - b.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,29 +97,32 @@ class CircuitGraph:
         return values
 
 
-def _check_gates(graph: CircuitGraph, readable: dict[str, Container[int]]) -> None:
+def _check_gates(graph: CircuitGraph, name: str, readable: dict[str, Container]) -> None:
     """Validate the gate references of one circuit: the one wire rule.
 
     Every gate input is either ``(kind, i)`` with ``kind`` in `readable` and
     ``i in readable[kind]``, or ``("g", k)`` naming an earlier gate; every
-    designated output names a gate.
+    designated output names a gate.  Errors start with the circuit's `name`.
     """
     for k, gate in enumerate(graph.gates):
         for kind, idx in (gate.a, gate.b):
             if kind == "g":
                 if not 0 <= idx < k:
                     raise ValidationError(
-                        f"gate {k} must reference an earlier gate, got {idx}"
+                        f"{name}: gate {k} must reference an earlier gate, got {idx}"
                     )
             elif kind not in readable:
-                raise ValidationError(f"gate {k} has unsupported input kind {kind!r}")
+                raise ValidationError(
+                    f"{name}: gate {k} has unsupported input kind {kind!r}"
+                )
             elif idx not in readable[kind]:
                 raise ValidationError(
-                    f"gate {k} reads {kind} {idx}, which its circuit may not read"
+                    f"{name}: gate {k} reads {kind} {idx}, "
+                    "which its circuit may not read"
                 )
     for o in graph.outputs:
         if not 0 <= o < len(graph.gates):
-            raise ValidationError(f"designated output {o} is not a gate")
+            raise ValidationError(f"{name}: designated output {o} is not a gate")
 
 
 def _ref_to_json(ref: Ref) -> dict:
@@ -178,7 +183,7 @@ class FlipInstance(CircuitGraph):
             raise ValidationError("circuit needs at least one gate")
         if not self.outputs:
             raise ValidationError("circuit needs at least one output")
-        _check_gates(self, {"x": range(self.n_inputs)})
+        _check_gates(self, "circuit", {"x": range(self.n_inputs)})
 
     def eval_outputs(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.n_inputs:
@@ -244,18 +249,25 @@ def pair_to_linear(at_one: int, at_two: int) -> LatencyFunction:
 
 
 CompKey = tuple[int, int, int]  # (output j, input i, target bit b), 0-based
-Comparison = Union[CircuitGraph, int]  # a graph, or the constant 0 / 1
+
+
+def _check_key(key: CompKey, n_inputs: int, n_outputs: int) -> None:
+    j, i, b = key
+    integral = all(type(v) is int for v in key)
+    if not (integral and 0 <= j < n_outputs and 0 <= i < n_inputs and b in (0, 1)):
+        raise ValidationError(f"bad comparison key {key}")
 
 
 @dataclass(frozen=True)
 class Bundle:
     """Main circuit plus comparison circuits, the builder's direct input.
 
-    ``comparisons[(j, i, b)]`` is a CircuitGraph with a single designated
-    output, or the integer 0 or 1 for constant predicates.  A constant-0 (or
-    missing) entry means "rewriting bit i to b never helps output j": the
-    Controller simply gets no strategy for it.  A constant-1 entry yields a
-    Controller strategy with no gate locks attached.
+    ``comparisons[(j, i, b)]`` is the circuit of "rewriting bit i to b zeroes
+    output j and keeps the higher outputs"; each yields a Controller strategy
+    that locks its gates.  A circuit with gates designates one output.  The
+    gateless circuit ``CircuitGraph((), ())`` is a predicate that always
+    holds: its strategy locks no gate.  A missing slot is a predicate that
+    never holds, and the Controller gets no strategy for it.
 
     Construction enforces the wire rule of every circuit: the main circuit
     reads any x and y, and comparison (j, i, b) reads every x but x_i and
@@ -265,7 +277,7 @@ class Bundle:
     n_inputs: int
     n_outputs: int
     main: CircuitGraph
-    comparisons: dict[CompKey, Comparison] = field(default_factory=dict)
+    comparisons: dict[CompKey, CircuitGraph] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.main.outputs) != self.n_outputs:
@@ -274,48 +286,35 @@ class Bundle:
                 f"expected {self.n_outputs}"
             )
         inputs, outputs = range(self.n_inputs), range(self.n_outputs)
-        _check_gates(self.main, {"x": inputs, "y": outputs})
-        for (j, i, b), comp in self.comparisons.items():
-            integral = all(type(v) is int for v in (j, i, b))
-            if not (integral and j in outputs and i in inputs and b in (0, 1)):
-                raise ValidationError(f"bad comparison key {(j, i, b)}")
-            if isinstance(comp, int):
-                if comp not in (0, 1):
-                    raise ValidationError("constant comparison must be 0 or 1")
-            elif len(comp.outputs) != 1:
-                raise ValidationError(
-                    f"comparison {(j, i, b)} must designate exactly one output"
-                )
-            else:
-                _check_gates(comp, {"x": set(inputs) - {i}, "y": outputs[j + 1:]})
-
-    def present_keys(self) -> list[CompKey]:
-        """Comparison slots that yield a Controller strategy, sorted."""
-        return sorted(
-            key
-            for key, comp in self.comparisons.items()
-            if not (isinstance(comp, int) and comp == 0)
-        )
+        _check_gates(self.main, "main circuit", {"x": inputs, "y": outputs})
+        for key, comp in self.comparisons.items():
+            _check_key(key, self.n_inputs, self.n_outputs)
+            j, i, _ = key
+            name = f"comparison {key}"
+            if not isinstance(comp, CircuitGraph):
+                raise ValidationError(f"{name} must be a CircuitGraph, got {comp!r}")
+            if comp.gates and len(comp.outputs) != 1:
+                raise ValidationError(f"{name} must designate exactly one output")
+            _check_gates(comp, name, {"x": set(inputs) - {i}, "y": outputs[j + 1:]})
 
     def total_gates(self) -> int:
-        total = len(self.main.gates)
-        for comp in self.comparisons.values():
-            if isinstance(comp, CircuitGraph):
-                total += len(comp.gates)
-        return total
+        return sum(len(c.gates) for c in (self.main, *self.comparisons.values()))
 
 
 def bundle_to_dict(bundle: Bundle) -> dict:
+    """The bundle document, with every (j, i, b) slot in key order."""
     comps = {}
-    for (j, i, b), comp in sorted(bundle.comparisons.items()):
-        comps[f"{j},{i},{b}"] = (
-            {"const": comp}
-            if isinstance(comp, int)
-            else _graph_to_json(comp, lockable=True)
+    n, m = bundle.n_inputs, bundle.n_outputs
+    for key in itertools.product(range(m), range(n), (0, 1)):
+        comp = bundle.comparisons.get(key)
+        comps["{},{},{}".format(*key)] = (
+            _graph_to_json(comp, lockable=True)
+            if comp is not None and comp.gates
+            else {"const": int(comp is not None)}
         )
     return {
-        "inputs": bundle.n_inputs,
-        "outputs": bundle.n_outputs,
+        "inputs": n,
+        "outputs": m,
         "main": _graph_to_json(bundle.main, lockable=True),
         "comparisons": comps,
     }
@@ -323,21 +322,24 @@ def bundle_to_dict(bundle: Bundle) -> dict:
 
 def bundle_from_dict(doc: dict) -> Bundle:
     try:
-        comps: dict[CompKey, Comparison] = {}
+        n, m = (to_integer(doc[name], name) for name in ("inputs", "outputs"))
+        comps: dict[CompKey, CircuitGraph] = {}
         for text, cdoc in doc.get("comparisons", {}).items():
             # One spelling per key, so that "00,0,1" cannot replace "0,0,1".
             match = re.fullmatch("([0-9]+),([0-9]+),([0-9]+)", text)
             key = tuple(int(digits) for digits in match.groups()) if match else None
             if key is None or text != "{},{},{}".format(*key):
                 raise ValidationError(f"bad comparison key {text!r}")
+            _check_key(key, n, m)  # the only check of a {"const": 0} key
             if "const" not in cdoc:
                 comps[key] = _graph_from_json(cdoc, lockable=True)
             elif "gates" in cdoc:
                 raise ValidationError(f"comparison {text} has both const and gates")
-            else:
-                comps[key] = to_integer(cdoc["const"], "const")
-        counts = (to_integer(doc[name], name) for name in ("inputs", "outputs"))
-        return Bundle(*counts, _graph_from_json(doc["main"], lockable=True), comps)
+            elif (const := to_integer(cdoc["const"], "const")) not in (0, 1):
+                raise ValidationError("constant comparison must be 0 or 1")
+            elif const:
+                comps[key] = CircuitGraph((), ())
+        return Bundle(n, m, _graph_from_json(doc["main"], lockable=True), comps)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed bundle document: {exc}") from exc
 
@@ -401,7 +403,8 @@ def derive_subcircuits(circuit: FlipInstance) -> Bundle:
     the rewritten output is locked at value 0 directly, which keeps those
     circuits at a single gate; otherwise the predicate gate is locked at
     value 1.  Either way the circuit locks fully exactly when the predicate
-    holds.  Constant predicates are recorded as 0 or 1 without gates.
+    holds.  A predicate that always holds is the gateless circuit, and one
+    that never holds gets no entry.
     """
     n, m = circuit.n_inputs, len(circuit.outputs)
     guards = tuple(
@@ -410,17 +413,18 @@ def derive_subcircuits(circuit: FlipInstance) -> Bundle:
     )
     main = CircuitGraph(circuit.gates + guards, circuit.outputs)
 
-    comparisons: dict[CompKey, Comparison] = {}
-    for j in range(m):
-        for i in range(n):
-            for b in (0, 1):
-                comparisons[(j, i, b)] = _derive_comparison(circuit, j, i, b)
+    comparisons: dict[CompKey, CircuitGraph] = {}
+    for key in itertools.product(range(m), range(n), (0, 1)):
+        comp = _derive_comparison(circuit, *key)
+        if comp is not None:
+            comparisons[key] = comp
     return Bundle(n, m, main, comparisons)
 
 
 def _derive_comparison(
     circuit: FlipInstance, j: int, i: int, b: int
-) -> Comparison:
+) -> Optional[CircuitGraph]:
+    """Comparison (j, i, b), or None when its predicate never holds."""
     builder = _NandBuilder()
     values: list = []
     for gate in circuit.gates:
@@ -429,36 +433,29 @@ def _derive_comparison(
                 return b if ref[1] == i else ref
             return values[ref[1]]
         values.append(builder.nand(resolve(gate.a), resolve(gate.b)))
-    rewritten_j = values[circuit.outputs[j]]
+    out = values[circuit.outputs[j]]
 
     if j + 1 == len(circuit.outputs):
         # Lowest-possible footprint: represent the rewritten output itself
         # and mark it lockable only at value 0 (= the rewrite zeroes y_j).
         # A single-gate circuit has no internal edges, so its gate always
         # relaxes to the value it computes.
-        if rewritten_j in (0, 1):
-            return 1 - rewritten_j
-        return _finish_comparison(builder, rewritten_j, ("110",))
-
-    predicate = builder.inv(rewritten_j)
-    for j2 in range(j + 1, len(circuit.outputs)):
-        predicate = builder.and_(
-            predicate, builder.xnor(values[circuit.outputs[j2]], ("y", j2))
-        )
-    if predicate in (0, 1):
-        return predicate
-    return _finish_comparison(builder, predicate, OUT1_VARIANTS)
-
-
-def _finish_comparison(
-    builder: _NandBuilder, out_ref: Ref, out_variants: tuple[str, ...]
-) -> CircuitGraph:
-    out_idx = out_ref[1]
+        locked, out_variants = 0, ("110",)
+    else:
+        locked, out_variants = 1, OUT1_VARIANTS
+        out = builder.inv(out)
+        for j2 in range(j + 1, len(circuit.outputs)):
+            out = builder.and_(
+                out, builder.xnor(values[circuit.outputs[j2]], ("y", j2))
+            )
+    if out in (0, 1):
+        # A constant output holds exactly when it equals the locked value.
+        return CircuitGraph((), ()) if out == locked else None
     gates = tuple(
-        BundleGate(a, b2, out_variants if k == out_idx else ALL_VARIANTS)
+        BundleGate(a, b2, out_variants if k == out[1] else ALL_VARIANTS)
         for k, (a, b2) in enumerate(builder.gates)
     )
-    return CircuitGraph(gates, (out_idx,))
+    return CircuitGraph(gates, (out[1],))
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +585,7 @@ def build_flip_game(
     # Global gate ids: main circuit first, then comparisons in key order;
     # the circuit under `key` holds the gates in gate_ids[key], and gates[k]
     # is global gate k with its g references made global.
-    circuits = [("main", bundle.main)] + [
-        (key, comp)
-        for key, comp in sorted(bundle.comparisons.items())
-        if isinstance(comp, CircuitGraph)
-    ]
+    circuits = [("main", bundle.main), *sorted(bundle.comparisons.items())]
     k_total = bundle.total_gates()
 
     # Resolve every gate input to a global (kind, idx); label[kind][idx]
@@ -653,7 +646,7 @@ def build_flip_game(
             rows.append(lock_copy(value, slot, k, label[kind][idx]))
         return rows
 
-    present = bundle.present_keys()
+    comp_keys = sorted(bundle.comparisons)
 
     def block_s(key: CompKey, y_owner: int) -> int:
         j, i, b = key
@@ -702,12 +695,12 @@ def build_flip_game(
     rows += [lock_gate(k, "Controller") for k in main_gate_ids]
     asm.strategy(controller, "LockS_0", rows)
 
-    for key in present:
+    for key in comp_keys:
         j, i, b = key
         rows = [trigger_controller(j2) for j2 in range(m)]
         rows += [block_s(key, j2) for j2 in range(m)]
         rows.append(block_y(j))
-        rows += [lock_gate(k, "Controller") for k in gate_ids.get(key, ())]
+        rows += [lock_gate(k, "Controller") for k in gate_ids[key]]
         asm.strategy(controller, f"LockS[{j + 1},{i + 1},{b}]", rows)
 
     rows = [asm.resource("Reset1", 2 * M, 2 * M)]
@@ -795,7 +788,7 @@ def build_flip_game(
                 ]
                 rows += trigger_y_listen(j)
                 rows += [trigger_y(j2, own) for j2 in range(j)]
-                rows += [block_s(key, j) for key in present if key != (j, i, b)]
+                rows += [block_s(key, j) for key in comp_keys if key != (j, i, b)]
                 rows += value_rows("y", j, 1)
                 asm.strategy(p, f"Change[{j + 1},{i + 1},{b}]", rows)
 
@@ -809,7 +802,7 @@ def build_flip_game(
                 ]
                 rows += trigger_y_listen(j)
                 rows += [trigger_done_y(j2, j) for j2 in range(j)]
-                rows += [block_s(key, j) for key in present if key != (j, i, b)]
+                rows += [block_s(key, j) for key in comp_keys if key != (j, i, b)]
                 rows += value_rows("y", j, 0)
                 rows += [trigger_lock(k, own) for k in main_gate_ids]
                 asm.strategy(p, f"Check[{j + 1},{i + 1},{b}]", rows)

@@ -21,6 +21,7 @@ from congames.serialize import (
 from congames import CongestionGame
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -86,6 +87,19 @@ class TestSolve:
         out = capsys.readouterr().out
         assert out.startswith("moves=")
         assert "rho_star=" in out and "bound=" in out and "ok=true" in out
+
+    def test_readme_example_line(self, tmp_path, monkeypatch, capsys):
+        # README's command line block runs gen, then solve, then shows the
+        # line solve prints after "# -> "; the two must not drift apart.
+        lines = README.read_text(encoding="utf-8").splitlines()
+        arrow = next(k for k, line in enumerate(lines) if line.startswith("# -> "))
+        gen, solve = lines[arrow - 2].split(), lines[arrow - 1].split()
+        assert gen[:2] == ["congames", "gen"] and solve[:2] == ["congames", "solve"]
+        monkeypatch.chdir(tmp_path)
+        assert run(gen[1:]) == 0
+        capsys.readouterr()
+        assert run(solve[1:]) == 0
+        assert capsys.readouterr().out == lines[arrow][len("# -> "):] + "\n"
 
     def test_trace_deterministic(self, instance, tmp_path):
         t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -23,6 +24,7 @@ from congames.hardness import (
     FlipInstance,
     GadgetParams,
     GUARD_VARIANTS,
+    OUT1_VARIANTS,
     build_flip_game,
     bundle_from_dict,
     bundle_to_dict,
@@ -124,11 +126,11 @@ class TestFlipLocalMin:
                 assert witness == (min(improving) if improving else None)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^circuit: gate 0 must reference"):
             FlipInstance(1, [(G(0), X(0))], [0])  # forward reference
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^circuit: gate 0 reads x 5"):
             FlipInstance(1, [(X(5), X(0))], [0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^circuit: designated output 3"):
             FlipInstance(1, [(X(0), X(0))], [3])
 
     def test_json_round_trip(self):
@@ -225,9 +227,9 @@ class TestDeriveSubcircuits:
     def test_constant_folding(self):
         bundle = derive_subcircuits(NOT_X)
         # rewriting x1 := 0 makes the output 1 (never an improvement)
-        assert bundle.comparisons[(0, 0, 0)] == 0
+        assert (0, 0, 0) not in bundle.comparisons
         # rewriting x1 := 1 always zeroes the output
-        assert bundle.comparisons[(0, 0, 1)] == 1
+        assert bundle.comparisons[(0, 0, 1)] == CircuitGraph((), ())
 
     def test_comparison_never_reads_rewritten_bit(self):
         rng = random.Random(12)
@@ -240,8 +242,6 @@ class TestDeriveSubcircuits:
             circ = FlipInstance(n, gates, [len(gates) - 1])
             bundle = derive_subcircuits(circ)
             for (j, i, b), comp in bundle.comparisons.items():
-                if isinstance(comp, int):
-                    continue
                 for gate in comp.gates:
                     assert gate.a != X(i) and gate.b != X(i)
 
@@ -261,7 +261,8 @@ class TestDeriveSubcircuits:
         # Comparison (j, i, b) locks fully, its output gate showing the
         # output bit of one of its variants, exactly when rewriting x_i to b
         # zeroes output j and leaves every higher output equal to its
-        # display; a constant comparison is that predicate's constant value.
+        # display; a missing slot never holds and a gateless one always does.
+        # Every derived bundle also survives its JSON round trip.
         rng = random.Random(16)
         circuits = [NOT_X, NAND_XY, AND_XY, *GOLDEN, BREAKS]
         for _ in range(100):
@@ -274,20 +275,20 @@ class TestDeriveSubcircuits:
             circuits.append(FlipInstance(n, gates, outs))
         for circ in circuits:
             bundle = derive_subcircuits(circ)
+            assert bundle_from_dict(bundle_to_dict(bundle)) == bundle
             n, m = circ.n_inputs, len(circ.outputs)
-            assert sorted(bundle.comparisons) == sorted(
-                itertools.product(range(m), range(n), (0, 1))
-            )
+            slots = list(itertools.product(range(m), range(n), (0, 1)))
             for x in itertools.product((0, 1), repeat=n):
                 for y in itertools.product((0, 1), repeat=m):
                     main = bundle.main.values(x, y)
                     assert main[: len(circ.gates)] == circ.values(x)
-                for (j, i, b), comp in bundle.comparisons.items():
+                for j, i, b in slots:
+                    comp = bundle.comparisons.get((j, i, b))
                     rewritten = circ.eval_outputs(x[:i] + (b,) + x[i + 1:])
                     for y in itertools.product((0, 1), repeat=m):
                         holds = rewritten[j] == 0 and rewritten[j + 1:] == list(y[j + 1:])
-                        if isinstance(comp, int):
-                            assert comp == holds, (circ, j, i, b)
+                        if comp is None or not comp.gates:
+                            assert (comp is not None) == holds, (circ, j, i, b, x, y)
                             continue
                         (out,) = comp.outputs
                         locked = {int(v[2]) for v in comp.gates[out].variants}
@@ -297,6 +298,24 @@ class TestDeriveSubcircuits:
     def test_bundle_json_round_trip(self):
         bundle = derive_subcircuits(AND_XY)
         doc = bundle_to_dict(bundle)
+        assert bundle_from_dict(doc) == bundle
+
+    def test_bundle_json_writes_every_slot(self):
+        # A missing slot is written as {"const": 0}, a gateless one as
+        # {"const": 1}, and the document lists all 2nm keys in key order.
+        main = CircuitGraph((BundleGate(X(0), X(1)), BundleGate(X(1), X(0))), (0, 1))
+        comp = CircuitGraph((BundleGate(X(1), ("y", 1), OUT1_VARIANTS),), (0,))
+        bundle = Bundle(2, 2, main, {(0, 0, 1): comp, (1, 1, 0): CircuitGraph((), ())})
+        doc = bundle_to_dict(bundle)
+        keys = [f"{j},{i},{b}" for j in range(2) for i in range(2) for b in (0, 1)]
+        assert list(doc["comparisons"]) == keys
+        assert doc["comparisons"]["0,0,1"]["outputs"] == [0]
+        assert doc["comparisons"]["1,1,0"] == {"const": 1}
+        for text in keys:
+            if text not in ("0,0,1", "1,1,0"):
+                assert doc["comparisons"][text] == {"const": 0}
+        assert bundle_from_dict(doc) == bundle
+        doc["comparisons"]["1,1,0"] = {"gates": [], "outputs": []}
         assert bundle_from_dict(doc) == bundle
 
 
@@ -367,7 +386,8 @@ class TestBuildFlipGame:
 
     def test_constant_comparison_strategies(self):
         bundle, params, game, labels = build(NOT_X)
-        # const-0 slot contributes no Controller strategy; const-1 does
+        # the missing slot contributes no Controller strategy; the gateless
+        # one does
         ctrl = labels["controller"]
         names = labels["strategies"][ctrl]
         assert names == ["LockS_0", "LockS[1,1,1]", "Reset1", "Reset2"]
@@ -404,10 +424,9 @@ class TestBuildFlipGame:
         assert "TriggerY_1(Y_2)" in res
         assert "TriggerDoneY_1(Y_2)" in res
         for key, comp in bundle.comparisons.items():
-            if not isinstance(comp, int):
-                for g in comp.gates:
-                    for ref in (g.a, g.b):
-                        assert not (ref[0] == "y" and ref[1] <= key[0])
+            for g in comp.gates:
+                for ref in (g.a, g.b):
+                    assert not (ref[0] == "y" and ref[1] <= key[0])
         scaled = positivize(game, params.alpha)
         assert min(min(f.eval(1), f.eval(2)) for f in scaled.resources) >= 1
 
@@ -555,7 +574,7 @@ class TestBundleValidation:
     def test_refs_checked_against_bundle_sizes(self):
         for bad in (X(1), ("y", 1), G(0), ("z", 0)):
             graph = CircuitGraph((BundleGate(X(0), bad),), (0,))
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match="^main circuit: gate 0 "):
                 Bundle(1, 1, graph)
         main = CircuitGraph((BundleGate(X(0), X(0)),), (0,))
         comp = CircuitGraph((BundleGate(("y", 3), X(0)),), (0,))
@@ -582,8 +601,12 @@ class TestBundleValidation:
                      id="key-range"),
         pytest.param(lambda d: d["comparisons"].update({"00,0,1": {"const": 0}}),
                      id="key-alias"),
+        pytest.param(lambda d: d["comparisons"].update({"0,5,1": {"const": 0}}),
+                     id="key-range-const-zero"),
         pytest.param(lambda d: d["comparisons"].update({"0,0,1": {"const": 0.5}}),
                      id="const-frac"),
+        pytest.param(lambda d: d["comparisons"].update({"0,0,1": {"const": 2}}),
+                     id="const-two"),
         pytest.param(lambda d: d["comparisons"].update({"0,0,1": {
             "const": 1, "gates": [{"a": {"y": 0}, "b": {"y": 0}}], "outputs": [0]}}),
             id="const-and-gates"),
@@ -611,10 +634,11 @@ class TestBundleValidation:
         reading = lambda r: CircuitGraph((BundleGate(X(1), r),), (0,))
         Bundle(2, 2, main, {(0, 0, 1): reading(("y", 1))})  # a higher output
         doc = bundle_to_dict(Bundle(2, 2, main, {key: reading(X(1))}))
-        with pytest.raises(ValidationError, match="which its circuit may not read"):
+        message = re.escape(f"comparison {key}: gate 0 reads") + ".* may not read"
+        with pytest.raises(ValidationError, match=message):
             Bundle(2, 2, main, {key: reading(ref)})
         doc["comparisons"]["{},{},{}".format(*key)]["gates"][0]["b"] = {ref[0]: ref[1]}
-        with pytest.raises(ValidationError, match="which its circuit may not read"):
+        with pytest.raises(ValidationError, match=message):
             bundle_from_dict(doc)
 
     @pytest.mark.parametrize("make, message", [
@@ -626,9 +650,13 @@ class TestBundleValidation:
                      id="circuit-without-outputs"),
         pytest.param(lambda: Bundle(1, 1, CircuitGraph((BundleGate(X(0), X(0)),), (0,)),
                                     {(0, 0, 1): 2}),
-                     "constant comparison must be 0 or 1", id="const-two"),
+                     r"comparison \(0, 0, 1\) must be a CircuitGraph", id="const-two"),
         pytest.param(lambda: Bundle(1, 1, CircuitGraph((BundleGate(X(0), X(0)),), (0,)),
-                                    {(0.0, 0, 1): 1}),
+                                    {(0, 0, 1): CircuitGraph((), (0,))}),
+                     r"comparison \(0, 0, 1\): designated output 0 is not a gate",
+                     id="gateless-with-output"),
+        pytest.param(lambda: Bundle(1, 1, CircuitGraph((BundleGate(X(0), X(0)),), (0,)),
+                                    {(0.0, 0, 1): CircuitGraph((), ())}),
                      "bad comparison key", id="key-not-int"),
         pytest.param(lambda: GadgetParams(2, 8, 8, 64), "scale ladder violated",
                      id="ladder-not-increasing"),
