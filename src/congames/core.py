@@ -11,10 +11,13 @@ integer numerators over one common denominator (the lcm of the coefficient
 denominators) and evaluates by Horner's rule in integers; a value is an int
 when it is integral and a `Fraction` otherwise, so an integral game never
 builds a `Fraction` for a latency value.  A game evaluates each latency once,
-into its value table (`CongestionGame.latency_table`); costs and potentials
-are sums of table entries, each returned as one `fractions.Fraction`.
-`cost_sums` hands out the unwrapped sums (ints when the table is integral) so
-that best responses compare integers.  Two modes are supported:
+into its value table (`CongestionGame.latency_table`); resources that hold
+one function object and have as many users share one column, and
+`serialize.game_from_dict` builds one function per distinct coefficient
+list.  Costs and potentials are sums of table entries, each returned as one
+`fractions.Fraction`.  `cost_sums` hands out the unwrapped sums (ints when
+the table is integral), which the dynamics keep unwrapped from the best
+response to the printed trace.  Two modes are supported:
 
 * ``standard``: polynomial latencies with non-negative coefficients (the
   usual setting; monotonicity and the potential sandwich hold).
@@ -322,12 +325,17 @@ class CongestionGame:
 
         No state puts more than len(users[e]) players on e, so every load a
         cost asks for is in the table.  Integer values are plain ints, as
-        `LatencyFunction.eval` returns them.
+        `LatencyFunction.eval` returns them.  Resources that hold the same
+        function object and have as many users share one column.
         """
-        return tuple(
-            (0, *map(f.eval, range(1, len(users) + 1)))
-            for f, users in zip(self.resources, self.users)
-        )
+        columns: dict[tuple[int, int], tuple[Value, ...]] = {}
+        table = []
+        for f, users in zip(self.resources, self.users):
+            key = (id(f), len(users))
+            if key not in columns:
+                columns[key] = (0, *map(f.eval, range(1, len(users) + 1)))
+            table.append(columns[key])
+        return tuple(table)
 
     def strategy(self, u: int, i: int) -> tuple[int, ...]:
         """Player u's strategy i; an index u does not have raises ValidationError."""

@@ -8,14 +8,16 @@ which makes recorded traces deterministic.
 Every executed move logs exact before/after costs and potentials; the
 potential difference equals the cost difference move by move.
 
-Best responses compare the unwrapped table sums of `cost_sums` (ints for
-integral games).  A threshold check asks for the best response first: when it
-is the current strategy there is no move, and the current cost is never read.
+Costs and potentials stay unwrapped table sums (`core.Value`: ints for
+integral games, Fractions otherwise) from the best response to the printed
+trace.  A threshold check asks for the best response first: when it is the
+current strategy there is no move, and the current cost is never read.
 Otherwise the test is one cross-multiplication of integers.  Both
 `epsilon_br_dynamics` and the phased solver drive a `Walk`, which owns the
 current state and potential, the move log and the threshold results: a
 player's threshold answer is recomputed only after a move changed the load on
-one of her resources.
+one of her resources.  A walk updates its potential by the mover's table
+sums, in integers for an integral game.
 """
 
 from __future__ import annotations
@@ -33,15 +35,18 @@ from .serialize import format_rational, json_text, write_json
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One executed improvement move with exact bookkeeping."""
+    """One executed improvement move with exact bookkeeping.
+
+    Costs and potentials are `Value`s: ints for an integral game.
+    """
 
     player: int
     from_strategy: int
     to_strategy: int
-    cost_before: Fraction
-    cost_after: Fraction
-    potential_before: Fraction
-    potential_after: Fraction
+    cost_before: Value
+    cost_after: Value
+    potential_before: Value
+    potential_after: Value
     phase: Optional[int] = None
 
     def to_dict(self) -> dict:
@@ -61,11 +66,11 @@ class MoveRecord:
 
 @dataclass
 class RunTrace:
-    """Ordered move log of one dynamics or solver run."""
+    """Ordered move log of one dynamics or solver run; the potential is a `Value`."""
 
     initial_state: tuple[int, ...]
     final_state: tuple[int, ...]
-    final_potential: Fraction
+    final_potential: Value
     moves: list[MoveRecord] = field(default_factory=list)
     truncated: bool = False
     phases: Optional[list[dict]] = None
@@ -130,36 +135,39 @@ def optimistic_cost(game: CongestionGame, u: int) -> tuple[Value, int]:
     return best_cost, costs.index(best_cost)
 
 
-def best_response(game: CongestionGame, state: State, u: int) -> tuple[int, Fraction]:
+def best_response(game: CongestionGame, state: State, u: int) -> tuple[int, Value]:
     """Globally cheapest deviation for u, ties broken by lowest index.
 
     The current strategy participates in the minimum, so the returned cost is
-    never above the current cost.  The minimum is taken over the unwrapped
-    table sums (`cost_sums`); only the winner becomes a Fraction.
+    never above the current cost.  The cost is the unwrapped table sum of
+    `cost_sums`, a `Value`: an int when the game's latencies are integral.
     """
     costs = game.cost_sums(state, u)
     best = min(costs)
-    return costs.index(best), Fraction(best)
+    return costs.index(best), best
 
 
 def find_threshold_move(
     game: CongestionGame, state: State, u: int, q: Fraction
-) -> Optional[tuple[int, Fraction]]:
+) -> Optional[tuple[int, Value]]:
     """Best response of u if it improves on the current cost by more than q.
 
     Returns (strategy index, new cost) when best_cost < current_cost / q
-    strictly, else None.  The best response comes first: when it is u's
-    current strategy, no deviation beats the current cost at all, so none
-    beats it by q >= 1.  Only otherwise is the current cost read.  A tie won
-    by a lower index and a zero-cost player fail the strict test below.
+    strictly, else None; the new cost is a `Value`, as `best_response` gives
+    it.  The best response comes first: when it is u's current strategy, no
+    deviation beats the current cost at all, so none beats it by q >= 1.
+    Only otherwise is the current cost read.  A tie won by a lower index and
+    a zero-cost player fail the strict test below.  A q that is already a
+    Fraction >= 1, as a walk passes it on every check, skips `to_factor`.
     """
-    q = to_factor(q, "q")
+    if type(q) is not Fraction or q.numerator < q.denominator:
+        q = to_factor(q, "q")
     idx, cost = best_response(game, state, u)
     if idx == state.choices[u]:
         return None
     current = game.player_cost(state, u)
-    # cost < current / q, cross-multiplied in integers; cost and current have
-    # denominator 1 when the game's latencies are integral.
+    # cost < current / q, cross-multiplied in integers; ints have numerator
+    # itself and denominator 1.
     if (
         cost.numerator * q.numerator * current.denominator
         < current.numerator * q.denominator * cost.denominator
@@ -191,13 +199,16 @@ class Walk:
         self.game = game
         self.initial = state
         self.state = state
-        self.potential = game.potential(state)
+        potential = game.potential(state)
+        self.potential: Value = (
+            potential.numerator if potential.denominator == 1 else potential
+        )
         self.moves: list[MoveRecord] = []
-        self.results: dict[int, Optional[tuple[int, Fraction]]] = {}
+        self.results: dict[int, Optional[tuple[int, Value]]] = {}
 
     def eligible(
         self, members: Iterable[int], q: Fraction
-    ) -> Iterator[tuple[int, tuple[int, Fraction]]]:
+    ) -> Iterator[tuple[int, tuple[int, Value]]]:
         """(u, threshold move of u under q) for each member that has one, in order.
 
         Each member is checked at the walk's state when the iteration reaches
@@ -212,16 +223,18 @@ class Walk:
                 yield u, found
 
     def move(
-        self, u: int, found: tuple[int, Fraction], phase: Optional[int] = None
+        self, u: int, found: tuple[int, Value], phase: Optional[int] = None
     ) -> None:
         """Execute u's threshold move `found`, log it, forget whom it touched."""
         game, state, results = self.game, self.state, self.results
         idx, new_cost = found
         strats = game.players[u]
-        for e in {*strats[state.choices[u]], *strats[idx]}:
+        old = strats[state.choices[u]]
+        for e in {*old, *strats[idx]}:
             for v in game.users[e]:
                 results.pop(v, None)
-        old_cost = game.player_cost(state, u)
+        table, loads = game.latency_table, state.loads
+        old_cost = sum(table[e][loads[e]] for e in old)
         before = self.potential
         self.potential = before + (new_cost - old_cost)
         record = MoveRecord(

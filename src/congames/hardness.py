@@ -280,6 +280,8 @@ class Bundle:
     comparisons: dict[CompKey, CircuitGraph] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_inputs", to_integer(self.n_inputs, "inputs", least=1))
+        object.__setattr__(self, "n_outputs", to_integer(self.n_outputs, "outputs", least=1))
         if len(self.main.outputs) != self.n_outputs:
             raise ValidationError(
                 f"main circuit designates {len(self.main.outputs)} outputs, "

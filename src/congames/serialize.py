@@ -24,20 +24,22 @@ from typing import Any, IO, Optional
 from .core import (
     CongestionGame,
     LatencyFunction,
+    Value,
     digit_limit_error,
     to_integer,
 )
 from .errors import ValidationError
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Value) -> str:
     """Canonical exact string: '5', '-3/4', '17/16'.
 
-    A numerator or denominator longer than the `core.digit_limit` raises
+    An int is printed as it is, anything else through `Fraction`.  A
+    numerator or denominator longer than the `core.digit_limit` raises
     ValidationError.
     """
     try:
-        return str(Fraction(x))
+        return str(x if type(x) is int else Fraction(x))
     except ValueError as exc:
         raise digit_limit_error("a value") from exc
 
@@ -70,10 +72,28 @@ def _listed(value: Any, what: str) -> list:
 
 
 def game_from_dict(doc: dict) -> tuple[CongestionGame, Optional[dict]]:
+    """The game and labels of an instance document.
+
+    Equal coefficient lists get one `LatencyFunction`, so the game evaluates
+    them into one value column.  The JSON types are part of the key: 1, 1.0
+    and true hash alike, and [true] must still be refused after [1].
+    """
+    functions: dict[tuple, LatencyFunction] = {}
+
+    def latency(coeffs: list) -> LatencyFunction:
+        try:
+            key = (*map(type, coeffs), *coeffs)
+            f = functions.get(key)
+        except TypeError:  # an unhashable entry, refused by the constructor
+            return LatencyFunction(coeffs)
+        if f is None:
+            f = functions[key] = LatencyFunction(coeffs)
+        return f
+
     try:
         mode = doc["mode"]
         resources = [
-            LatencyFunction(_listed(r["coeffs"], "coeffs"))
+            latency(_listed(r["coeffs"], "coeffs"))
             for r in _listed(doc["resources"], "resources")
         ]
         players = [

@@ -513,7 +513,7 @@ def audit_identities(
         return report
     q = Fraction(3, 2)
     trace = epsilon_br_dynamics(game, sample_state(game, rng), epsilon=q - 1)
-    phi_end = trace.final_potential
+    phi_end = Fraction(trace.final_potential)  # a counterexample writes it as p/q
     if not trace.truncated and phi_min > 0:
         report.max_ratio_observed = phi_end / phi_min
     report.potential_ratio.record(

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -125,6 +126,23 @@ class TestFindThresholdMove:
         g = CongestionGame([[1]], [[[0]]])
         with pytest.raises(ValidationError):
             find_threshold_move(g, g.state([0]), 0, F(1, 2))
+
+    @pytest.mark.parametrize("q, message", [
+        (True, "not a rational: True"),
+        ("1/2", "q must be >= 1, got 1/2"),
+        (0.5, "not a rational: 0.5"),
+        (F(1, 2), "q must be >= 1, got 1/2"),
+    ])
+    def test_q_refused_unless_a_factor(self, q, message):
+        g = CongestionGame([[4], [1]], [[[0], [1]]])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            find_threshold_move(g, g.state([0]), 0, q)
+
+    @pytest.mark.parametrize("q, found", [("3/2", (1, 1)), (2, (1, 1)), (4, None)])
+    def test_q_read_like_its_fraction(self, q, found):
+        g = CongestionGame([[4], [1]], [[[0], [1]]])
+        assert find_threshold_move(g, g.state([0]), 0, q) == found
+        assert find_threshold_move(g, g.state([0]), 0, F(q)) == found
 
     def test_q_one_iff_not_best_response(self):
         rng = random.Random(23)

@@ -559,6 +559,11 @@ class TestPositivize:
             positivize(game, 1)
 
 
+Y_ONLY = {"gates": [{"a": {"y": 0}, "b": {"y": 0}}], "outputs": [0]}
+NO_OUTPUT = {"gates": [{"a": {"x": 0}, "b": {"x": 0}}], "outputs": []}
+Y0 = ("y", 0)
+
+
 class TestBundleValidation:
     def test_output_count_must_match(self):
         graph = CircuitGraph((BundleGate(X(0), X(0)),), (0,))
@@ -614,6 +619,14 @@ class TestBundleValidation:
             "const": 0, "gates": "junk"}}), id="const-and-junk-gates"),
         pytest.param(lambda d: d.pop("main"), id="main-missing"),
         pytest.param(lambda d: d.update(comparisons=[]), id="comparisons-list"),
+        # Circuits that read no x and designate as many outputs as the count
+        # says, so that only the count itself is wrong.
+        pytest.param(lambda d: d.update(inputs=0, main=Y_ONLY, comparisons={}),
+                     id="inputs-zero"),
+        pytest.param(lambda d: d.update(inputs=-3, main=Y_ONLY, comparisons={}),
+                     id="inputs-negative"),
+        pytest.param(lambda d: d.update(outputs=0, main=NO_OUTPUT, comparisons={}),
+                     id="outputs-zero"),
     ])
     def test_bundle_document_rejected(self, edit):
         doc = bundle_to_dict(derive_subcircuits(NOT_X))
@@ -658,6 +671,8 @@ class TestBundleValidation:
         pytest.param(lambda: Bundle(1, 1, CircuitGraph((BundleGate(X(0), X(0)),), (0,)),
                                     {(0.0, 0, 1): CircuitGraph((), ())}),
                      "bad comparison key", id="key-not-int"),
+        pytest.param(lambda: Bundle(-3, 1, CircuitGraph((BundleGate(Y0, Y0),), (0,))),
+                     "inputs must be at least 1", id="inputs-negative"),
         pytest.param(lambda: GadgetParams(2, 8, 8, 64), "scale ladder violated",
                      id="ladder-not-increasing"),
     ])

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from congames import (
     CongestionGame,
     LatencyFunction,
+    SolverConfig,
     SubgameView,
     best_response,
+    epsilon_br_dynamics,
     load_profile,
+    solve,
 )
 
 thousand_bits = st.integers(-(2**1000), 2**1000)
@@ -157,3 +160,85 @@ def test_table_entries(case):
             value = f.eval(k)
             assert col[k] == value
             assert type(col[k]) is (int if value.denominator == 1 else Fraction)
+
+
+@st.composite
+def walk_games(draw):
+    """Games of 1 to 7 players, integral or not, with a start state."""
+    n_res = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 2))
+    coeff = draw(st.sampled_from([st.integers(0, 6), coefficient]))
+    resources = [
+        draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+        for _ in range(n_res)
+    ]
+    strategy = st.lists(
+        st.integers(0, n_res - 1), min_size=1, max_size=n_res, unique=True
+    )
+    players = draw(
+        st.lists(st.lists(strategy, min_size=1, max_size=3), min_size=1, max_size=7)
+    )
+    game = CongestionGame(resources, players)
+    choices = [draw(st.integers(0, len(s) - 1)) for s in game.players]
+    return game, game.state(choices)
+
+
+def check_against_reference(game, trace):
+    """Every recorded cost and potential equals the Fraction reference.
+
+    The walk updates its potential by table sums; `player_cost` and
+    `potential` recompute each value from the state.  An integral game
+    records ints.
+    """
+    integral = all(type(v) is int for col in game.latency_table for v in col)
+    state = game.state(trace.initial_state)
+    for m in trace.moves:
+        u = m.player
+        assert (m.cost_before, m.potential_before) == (
+            game.player_cost(state, u), game.potential(state)
+        )
+        state = state.apply(game, u, m.to_strategy)
+        assert (m.cost_after, m.potential_after) == (
+            game.player_cost(state, u), game.potential(state)
+        )
+        values = (m.cost_before, m.cost_after, m.potential_before, m.potential_after)
+        assert not integral or all(type(v) is int for v in values)
+    assert state.choices == tuple(trace.final_state)
+    assert trace.final_potential == game.potential(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_games(), st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(2)]))
+def test_dynamics_records_match_reference(case, epsilon):
+    game, state = case
+    check_against_reference(game, epsilon_br_dynamics(game, state, epsilon))
+
+
+@st.composite
+def crowded_games(draw):
+    """Games of 12 to 24 players on 2 to 4 rising latencies, integral or not.
+
+    The solver starts every player on her solo best response and moves her
+    only when she gains a factor p, which is 20 at n = 4 and falls toward 2 as
+    n grows.  Here each player picks one resource from a subset, so the
+    players crowd onto the cheap ones first and then have moves to make.
+    """
+    n_res = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, 2))
+    integral = draw(st.booleans())
+    offset = st.integers(0, 6) if integral else coefficient
+    slope = st.integers(1, 6) if integral else st.fractions(1, 4, max_denominator=3)
+    resources = [
+        [draw(offset), *draw(st.lists(slope, min_size=degree, max_size=degree))]
+        for _ in range(n_res)
+    ]
+    subset = st.lists(st.integers(0, n_res - 1), min_size=1, unique=True)
+    players = draw(st.lists(subset, min_size=12, max_size=24))
+    return CongestionGame(resources, [[[e] for e in p] for p in players])
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowded_games())
+def test_solve_records_match_reference(game):
+    config = SolverConfig(theta_override=Fraction(3) if game.degree > 1 else None)
+    check_against_reference(game, solve(game, config))

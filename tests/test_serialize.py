@@ -1,5 +1,6 @@
 """Instance file round trips and rational string handling."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -47,6 +48,16 @@ def test_format_rejects_value_beyond_digit_limit():
     with pytest.raises(ValidationError, match="more than 4300 digits"):
         format_rational(F(10**4300))
     assert format_rational(F(1, 10**4299)) == "1/1" + "0" * 4299
+
+
+@pytest.mark.parametrize("k", [0, -7, 10**3999, -(10**3999) + 1])
+def test_format_int_as_its_fraction(k):
+    assert format_rational(k) == format_rational(F(k))
+
+
+def test_format_rejects_int_beyond_digit_limit():
+    with pytest.raises(ValidationError, match="more than 4300 digits"):
+        format_rational(10**4999)
 
 
 def test_parse_rejects_garbage():
@@ -184,3 +195,46 @@ def test_unreadable_json_rejected(tmp_path, content):
     for read in (read_instance, read_state, read_flip_instance):
         with pytest.raises(ValidationError, match="invalid JSON in"):
             read(str(path))
+
+
+def shared_document(second):
+    """Two resources, [1] and `second`, each with one user."""
+    return {
+        "mode": "standard",
+        "resources": [{"coeffs": [1]}, {"coeffs": second}],
+        "players": [{"strategies": [[0]]}, {"strategies": [[1]]}],
+    }
+
+
+def test_equal_coefficient_lists_share_one_function():
+    doc = {
+        "mode": "standard",
+        "resources": [{"coeffs": c} for c in (["1", "2"], [3], ["1", "2"], [3], ["1/2", "2"])],
+        "players": [
+            {"strategies": [[0, 1], [2]]},
+            {"strategies": [[0], [3, 4]]},
+            {"strategies": [[1, 2, 3]]},
+        ],
+    }
+    game, _ = game_from_dict(doc)
+    fs, table = game.resources, game.latency_table
+    assert fs[0] is fs[2] and fs[1] is fs[3] and fs[4] != fs[0]
+    assert table[0] is table[2]  # one function, two users each
+    for f, users, col in zip(fs, game.users, table):
+        assert col == (0, *(f.eval(k) for k in range(1, len(users) + 1)))
+
+
+@pytest.mark.parametrize("second, message", [
+    ([True], "not a rational: True"),
+    ([1.0], "not a rational: 1.0"),
+    ([[1]], "not a rational: [1]"),
+])
+def test_shared_loading_keeps_refusals(second, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        game_from_dict(shared_document(second))
+
+
+def test_shared_loading_reads_string_after_int():
+    game, _ = game_from_dict(shared_document(["1"]))
+    assert game.resources[0] == game.resources[1]
+    assert game.latency_table == ((0, 1), (0, 1))
