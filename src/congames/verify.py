@@ -10,13 +10,14 @@ searches in exact integer (or Fraction) arithmetic:
 
 * `enumerate_equilibria` discards a branch as soon as some placed player
   has a forbidden improving move in every completion of it; its docstring
-  says when a player is tested.  A verdict depends only on her choice, the
-  loads on her closed shared resources and which resources are open, so
-  each is computed once per call and kept in a dict per (player, open set,
-  choice) keyed by those loads.
-* `brute_min_potential` is a branch and bound: potential terms are never
-  negative, so a branch whose partial potential reaches the best leaf found
-  is cut.
+  says when a player is tested.  Its state is one integer, the code, with a
+  bit field per resource load and per player choice.  A verdict depends only
+  on her choice, the loads on her closed shared resources and which
+  resources are open, so each is computed once per call and kept in a dict
+  per test (player and open set), keyed by the code under the test's mask.
+* `brute_min_potential` is a branch and bound: a branch is cut once its
+  partial potential plus a floor on what the players still to place add
+  reaches the best leaf found.
 
 The pruning is exact, so the results equal the naive product scans (the test
 suite cross-checks them against `naive_state_scan`, which stays the
@@ -26,7 +27,6 @@ independent reference).
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -131,16 +131,18 @@ def brute_min_potential(
 ) -> tuple[State, Fraction]:
     """Exhaustive global potential minimum; lexicographically smallest argmin.
 
-    Branch and bound: every table entry a descent adds is >= 0 (non-negative
-    coefficients in standard mode; affine latencies that `_validate` keeps
-    non-negative at loads 1 and n in hardness mode), so a branch whose partial
-    potential already reaches the best leaf cannot end strictly below it.
+    Branch and bound: each player still to place adds at least her floor,
+    the least over her strategies of the sum of their resources' smallest
+    latencies at loads 1 and up, so a branch whose partial potential plus
+    those floors already reaches the best leaf cannot end strictly below it.
     Strategies are tried in index order, so the first leaf at the minimum is
     the lexicographically smallest argmin.
     """
     _require_budget(game, budget)
     n = game.n_players
     table = game.latency_table
+    floors = [min(sum(min(table[e][1:]) for e in s) for s in strats) for strats in game.players]
+    rest = list(itertools.accumulate(reversed(floors), initial=0))[::-1]  # rest[u] = sum(floors[u:])
     loads = [0] * game.n_resources
     choices = [0] * n
     best: Optional[Value] = None
@@ -158,7 +160,7 @@ def brute_min_potential(
             for e in strat:
                 loads[e] += 1
                 total += table[e][loads[e]]
-            if best is None or total < best:
+            if best is None or total + rest[u + 1] < best:
                 descend(u + 1, total)
             for e in strat:
                 loads[e] -= 1
@@ -207,11 +209,18 @@ def enumerate_equilibria(
     final load is its load now or one more, so the smaller of its two
     latencies bounds her cost from below and the larger bounds a deviation
     from above.  Her last test has no open resource and is exact.
+
+    The search state is one integer, the code: a bit field per resource,
+    wide enough for its user count, holds its load, then a field per player
+    holds her choice.  Placing a player adds a precomputed step to the code,
+    so nothing is undone on return.  A test keeps its verdicts keyed by the
+    code under its mask, her choice and the loads on her closed shared
+    resources.  Leaves are decoded to choice vectors once, at the end.
     """
     _require_budget(game, budget)
     if rho is not None:
         rho = to_factor(rho, "rho")
-    n = game.n_players
+    n, r = game.n_players, game.n_resources
     if order is None:
         order = _auto_order(game)
     else:
@@ -220,37 +229,58 @@ def enumerate_equilibria(
             raise ValidationError("order must be a permutation of the players")
     position = {u: i for i, u in enumerate(order)}
     table = game.latency_table
-    loads = [0] * game.n_resources
-    choices = [0] * n
-    results: list[tuple[int, ...]] = []
+    # bits[i]: the (shift, mask) of resource i's load field in the code, or
+    # of player i - r's choice field
+    widths = [len(us).bit_length() for us in game.users]
+    widths += [(len(strats) - 1).bit_length() for strats in game.players]
+    bits = [(s, (1 << w) - 1) for s, w in zip(itertools.accumulate(widths, initial=0), widths)]
+    steps = [
+        [sum(1 << bits[e][0] for e in s) + (i << bits[r + u][0]) for i, s in enumerate(strats)]
+        for u, strats in enumerate(game.players)
+    ]
+    results: list[int] = []
 
-    def violates(u: int, bounds: tuple) -> bool:
-        # True when u has a forbidden move in every completion.  Per strategy,
-        # lows and highs hold the sums of the smallest and largest latency
-        # over its open resources, and closed its other resources.  The cost
-        # reads the table at loads that count u; a deviation at the loads
-        # without u, plus one.
-        lows, highs, closed = bounds
-        c = choices[u]
-        current = closed[c]
-        cost = lows[c]
-        for e in current:
-            cost += table[e][loads[e]]
+    def violates(code: int, test: tuple) -> bool:
+        # True when the tested player has a forbidden move in every
+        # completion.  test holds the (shift, mask) of her choice field and,
+        # per choice, her cost's lower bound and each other strategy's upper
+        # bound, as a constant plus column[(code >> shift) & mask] per
+        # (shift, mask, column) term.
+        shift, mask, per_choice = test
+        (cost, reads), deviations = per_choice[(code >> shift) & mask]
+        for s, m, column in reads:
+            cost += column[(code >> s) & m]
         if cost == 0:
             return False
         threshold = cost * rho_den
-        for alt, resources in enumerate(closed):
-            if alt != c:
-                dev = highs[alt]
-                for e in resources:
-                    dev += table[e][loads[e] if e in current else loads[e] + 1]
-                if dev * rho_num < threshold:
-                    return True
+        for dev, reads in deviations:
+            for s, m, column in reads:
+                dev += column[(code >> s) & m]
+            if dev * rho_num < threshold:
+                return True
         return False
 
-    # checks_at[depth]: the players tested once the player at `depth` is
-    # placed, as (player, reader of the loads on her closed shared resources,
-    # one verdict dict per choice, bounds).
+    def packed(u: int, keyed: list[int], bounds: tuple) -> tuple:
+        # One test of u from `_bounded_tests` as (mask, verdicts, test).
+        # The cost reads the table at loads that count u; a deviation reads
+        # a resource outside u's choice from load 1 on, since she would join
+        # it.
+        lows, highs, closed = bounds
+
+        def reads(resources, current):
+            return [(*bits[e], table[e] if e in current else table[e][1:]) for e in resources]
+
+        mask = sum(m << s for s, m in (bits[e] for e in keyed + [r + u]))
+        per_choice = [
+            (
+                (lows[c], reads(mine, mine)),
+                [(highs[a], reads(other, mine)) for a, other in enumerate(closed) if a != c],
+            )
+            for c, mine in enumerate(closed)
+        ]
+        return mask, {}, (*bits[r + u], per_choice)
+
+    # checks_at[depth]: the tests run once the player at `depth` is placed.
     checks_at: list[list[tuple]] = [[] for _ in range(n)]
     if rho is not None:  # with rho=None every state qualifies: no checks
         rho_num, rho_den = rho.numerator, rho.denominator
@@ -260,43 +290,35 @@ def enumerate_equilibria(
         # tests, the latest placed player first: she is the likeliest to
         # have a forbidden move.
         tests = sorted(
-            (
-                (t, is_open, -position[u] if is_open else u),
-                (u, _reader(keyed), [{} for _ in strats], bounds),
-            )
-            for u, strats in enumerate(game.players)
+            ((t, is_open, -position[u] if is_open else u), packed(u, keyed, bounds))
+            for u in range(n)
             for t, is_open, keyed, bounds in _bounded_tests(game, u, position[u], last)
         )
         for (t, _, _), check in tests:
             checks_at[t].append(check)
 
-    def descend(depth: int) -> None:
+    def descend(depth: int, code: int) -> None:
         if depth == n:
-            results.append(tuple(choices))
+            results.append(code)
             return
-        u = order[depth]
         checks = checks_at[depth]
-        for idx, strat in enumerate(game.players[u]):
-            choices[u] = idx
-            for e in strat:
-                loads[e] += 1
-            for w, read, verdicts, bounds in checks:
-                seen = verdicts[choices[w]]
-                key = read(loads)
+        for step in steps[order[depth]]:
+            child = code + step
+            for mask, seen, test in checks:
+                key = child & mask
                 verdict = seen.get(key)
                 if verdict is None:
-                    verdict = seen[key] = violates(w, bounds)
+                    verdict = seen[key] = violates(child, test)
                 if verdict:
                     break
             else:
-                descend(depth + 1)
-            for e in strat:
-                loads[e] -= 1
+                descend(depth + 1, child)
 
-    descend(0)
+    descend(0, 0)
     del descend  # the recursive closure is a reference cycle
-    results.sort()
-    return [State.of(game, c) for c in results]
+    picks = bits[r:]
+    choices = sorted(tuple([(code >> s) & m for s, m in picks]) for code in results)
+    return [State.of(game, c) for c in choices]
 
 
 def _bounded_tests(game: CongestionGame, u: int, placed: int, last: list[int]):
@@ -319,13 +341,6 @@ def _bounded_tests(game: CongestionGame, u: int, placed: int, last: list[int]):
         closed = tuple(tuple(e for e in s if e not in pairs) for s in strats)
         keyed = sorted(e for e in mine if len(users[e]) > 1 and e not in pairs)
         yield t, bool(pairs), keyed, (lows, highs, closed)
-
-
-def _reader(resources: list[int]):
-    """Function from the load list to a hashable key of these resources' loads."""
-    if not resources:
-        return lambda loads: ()
-    return operator.itemgetter(*resources)
 
 
 @dataclass

@@ -288,6 +288,31 @@ def sparse_games(draw, kinds, crowded=False):
     return CongestionGame(draw(latencies(kind, len(owners), n)), players, mode=mode)
 
 
+@st.composite
+def full_field_games(draw):
+    """Games that fill the search code's bit fields to their top bit.
+
+    Four of the eight players use resource 0 in every strategy, and all of
+    them use the last resource, so those loads reach 4 and 8; the players
+    have 1 to 5 strategies, so choice fields are 0 to 3 bits wide.  A field
+    one bit too narrow carries into the next one.
+    """
+    kind = draw(st.sampled_from(["linear", "hardness", "quadratic"]))
+    n, n_res = 8, 5
+    four = draw(st.sets(st.integers(0, n - 1), min_size=4, max_size=4))
+    counts = draw(st.permutations([1, 2, 3, 4, 5, 1, 2, 2]))
+    middle = st.sets(st.integers(1, n_res - 2), max_size=2)
+    players = [
+        [
+            sorted(s | {n_res - 1} | ({0} if u in four else set()))
+            for s in draw(st.lists(middle, min_size=k, max_size=k))
+        ]
+        for u, k in enumerate(counts)
+    ]
+    mode = "hardness" if kind == "hardness" else "standard"
+    return CongestionGame(draw(latencies(kind, n_res, n)), players, mode=mode)
+
+
 class TestOraclesAgainstScans:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -314,6 +339,18 @@ class TestOraclesAgainstScans:
         for rho in (F(1), F(3, 2), F(2), None):
             slow = [s.choices for s in naive_state_scan(game, rho)]
             for o in (None, order):
+                fast = enumerate_equilibria(game, rho=rho, order=o)
+                assert [s.choices for s in fast] == slow
+
+    @settings(max_examples=25, deadline=None)
+    @given(full_field_games())
+    def test_enumeration_matches_naive_scan_with_full_bit_fields(self, game):
+        assert (len(game.users[0]), len(game.users[-1])) == (4, 8)
+        assert sorted(map(len, game.players)) == [1, 1, 2, 2, 2, 3, 4, 5]
+        backward = list(range(game.n_players))[::-1]
+        for rho in (F(1), F(3, 2), None):
+            slow = [s.choices for s in naive_state_scan(game, rho)]
+            for o in (None, backward):
                 fast = enumerate_equilibria(game, rho=rho, order=o)
                 assert [s.choices for s in fast] == slow
 
