@@ -837,14 +837,16 @@ def read_input_bits(labels: dict, choices: Sequence[int]) -> list[int]:
 
 
 def enumeration_order(labels: dict) -> list[int]:
-    """Player order that makes exhaustive equilibrium search fast.
+    """Player priority for exhaustive equilibrium search.
 
     Hub players (Controller, inputs, outputs) first, then each gate right
-    before its lock player in wiring order.  A gate's or lock's resources
-    then close within a few assignment levels.  Every resource of a built
-    game has at most two users, so the hubs are tested against cost bounds
-    long before their last gate is placed (`verify.enumerate_equilibria`
-    says when a player is tested).
+    before its lock player in wiring order.  It is a priority, not the order
+    searched: `verify.enumerate_equilibria` starts with the Controller and
+    then places the player sharing a resource with the most placed ones,
+    breaking ties by this list, so the wiring order decides among equals.
+    Every resource of a built game has at most two users, so the hubs are
+    tested against cost bounds long before their last gate is placed
+    (`verify.enumerate_equilibria` says when a player is tested).
     """
     order = [labels["controller"]] + list(labels["x_players"])
     order += list(labels["y_players"])

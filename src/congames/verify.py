@@ -15,6 +15,10 @@ searches in exact integer (or Fraction) arithmetic:
   on her choice, the loads on her closed shared resources and which
   resources are open, so each is computed once per call and kept in a dict
   per test (player and open set), keyed by the code under the test's mask.
+  Players are placed by maximum cardinality search over the graph of
+  players who share a resource: each next player shares one with the most
+  players already placed, so their resources close and their tests fire
+  early.  The caller's order only sets the start and breaks ties.
 * `brute_min_potential` is a branch and bound: a branch is cut once its
   partial potential plus a floor on what the players still to place add
   reaches the best leaf found.
@@ -171,20 +175,35 @@ def brute_min_potential(
     return State.of(game, best_choices), Fraction(best)
 
 
-def _auto_order(game: CongestionGame) -> list[int]:
-    """Assignment order that lets equilibrium tests fire early.
+def _search_order(game: CongestionGame, priority: Optional[Sequence[int]]) -> list[int]:
+    """The order in which `enumerate_equilibria` places the players.
 
-    Hubs first: placing the players who share resources with the most others
-    early closes the remaining players' resources soon after they are
-    assigned, so their tests can prune branches long before the leaves.  Any
-    permutation yields the same result; this only affects speed.
+    Maximum cardinality search over the graph of players who share a
+    resource: start with priority[0], then repeatedly place the unplaced
+    player who shares a resource with the most placed players, the earliest
+    in the priority on ties.  Each player then closes resources of placed
+    players soon after they are assigned, so their tests prune early.  With
+    no priority, it ranks hubs first: more sharers first, lower index on
+    ties.
     """
     users = game.users
     sharers = [
-        len(set().union(*(users[e] for strat in strats for e in strat)) - {u})
+        set().union(*(users[e] for strat in strats for e in strat)) - {u}
         for u, strats in enumerate(game.players)
     ]
-    return sorted(range(game.n_players), key=lambda u: (-sharers[u], u))
+    if priority is None:
+        priority = sorted(range(game.n_players), key=lambda u: (-len(sharers[u]), u))
+    unplaced = dict.fromkeys(priority, 0)  # player: her placed sharers
+    order: list[int] = []
+    while unplaced:
+        # max keeps the first of equal keys, the earliest in the priority
+        u = max(unplaced, key=unplaced.__getitem__)
+        del unplaced[u]
+        order.append(u)
+        for v in sharers[u]:
+            if v in unplaced:
+                unplaced[v] += 1
+    return order
 
 
 def enumerate_equilibria(
@@ -199,6 +218,12 @@ def enumerate_equilibria(
     player has a deviation improving her cost by a factor strictly above rho
     in every completion of the branch.  States come back in lexicographic
     order of the choice vector.
+
+    `order` is a priority, not the order searched.  The search places
+    order[0] first, then each time the unplaced player who shares a resource
+    with the most placed players, the earliest in `order` on ties
+    (`_search_order`; None ranks players with more sharers first).  Any
+    permutation gives the same list; it only affects speed.
 
     A placed player is tested at `start` and at each later depth where one
     of her resources closes: its last user is placed.  `start` is the later
@@ -215,18 +240,17 @@ def enumerate_equilibria(
     holds her choice.  Placing a player adds a precomputed step to the code,
     so nothing is undone on return.  A test keeps its verdicts keyed by the
     code under its mask, her choice and the loads on her closed shared
-    resources.  Leaves are decoded to choice vectors once, at the end.
+    resources.  Leaves are decoded to choices and loads once, at the end.
     """
     _require_budget(game, budget)
     if rho is not None:
         rho = to_factor(rho, "rho")
     n, r = game.n_players, game.n_resources
-    if order is None:
-        order = _auto_order(game)
-    else:
+    if order is not None:
         order = [to_integer(u, "order entry") for u in order]
         if sorted(order) != list(range(n)):
             raise ValidationError("order must be a permutation of the players")
+    order = _search_order(game, order)
     position = {u: i for i, u in enumerate(order)}
     table = game.latency_table
     # bits[i]: the (shift, mask) of resource i's load field in the code, or
@@ -316,9 +340,14 @@ def enumerate_equilibria(
 
     descend(0, 0)
     del descend  # the recursive closure is a reference cycle
-    picks = bits[r:]
-    choices = sorted(tuple([(code >> s) & m for s, m in picks]) for code in results)
-    return [State.of(game, c) for c in choices]
+    # A leaf's fields hold valid choices and their loads, so its State is
+    # built directly, not checked again through State.of.
+    states = []
+    for code in results:
+        values = [(code >> s) & m for s, m in bits]
+        states.append(State(tuple(values[r:]), tuple(values[:r])))
+    states.sort(key=lambda state: state.choices)
+    return states
 
 
 def _bounded_tests(game: CongestionGame, u: int, placed: int, last: list[int]):

@@ -42,7 +42,7 @@ from congames.hardness import (
     _GameAssembler,
 )
 from congames.verify import (
-    _auto_order,
+    _search_order,
     enumerate_equilibria,
     naive_state_scan,
     sample_state,
@@ -451,10 +451,15 @@ class TestEquilibriumCorrespondence:
     @pytest.mark.parametrize("circ", [NOT_X, NAND_XY, AND_XY], ids=["not", "nand", "and"])
     def test_same_equilibria_in_any_order(self, circ, rho):
         bundle, params, game, labels = build(circ, rho=rho)
-        hubs_first = _auto_order(game)
+        # three priorities that give three search orders: the builder's, the
+        # default (hubs first) and the builder's reversed, which starts from
+        # the last lock player
+        priority = enumeration_order(labels)
+        priorities = (priority, None, priority[::-1])
+        assert len({tuple(_search_order(game, o)) for o in priorities}) == 3
         lists = [
             [s.choices for s in enumerate_equilibria(game, rho=rho, budget=10**12, order=o)]
-            for o in (enumeration_order(labels), None, hubs_first[::-1])
+            for o in priorities
         ]
         assert lists[0] and lists[1] == lists[0] and lists[2] == lists[0]
 

@@ -13,6 +13,7 @@ from congames import (
     BudgetExceededError,
     CongestionGame,
     GenSpec,
+    State,
     ValidationError,
     approximation_factor,
     audit_identities,
@@ -21,7 +22,13 @@ from congames import (
     generate,
 )
 from congames.hardness import enumeration_order
-from congames.verify import AuditReport, _bounded_tests, naive_state_scan, state_space_size
+from congames.verify import (
+    AuditReport,
+    _bounded_tests,
+    _search_order,
+    naive_state_scan,
+    state_space_size,
+)
 from test_hardness import AND_XY, NAND_XY, NOT_X, build
 
 
@@ -354,6 +361,15 @@ class TestOraclesAgainstScans:
                 fast = enumerate_equilibria(game, rho=rho, order=o)
                 assert [s.choices for s in fast] == slow
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(crowded_games(["linear", "hardness", "quadratic"]), full_field_games()))
+    def test_enumerated_states_equal_checked_states(self, game):
+        # The enumeration decodes choices and loads from its search code
+        # instead of building each state through State.of.
+        for rho in (F(1), None):
+            for s in enumerate_equilibria(game, rho=rho):
+                assert s == State.of(game, s.choices)
+
     @settings(max_examples=200, deadline=None)
     @given(
         crowded_games(
@@ -414,6 +430,51 @@ class TestEnumerationTestDepths:
             flags = [has_open for _, has_open, _, _ in tests]
             assert flags == [bool(o) for o in opened] == [True] * (len(tests) - 1) + [False]
             assert depths[-1] == max(last[e] for e in mine)
+
+
+class TestSearchOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans()
+        .flatmap(lambda crowded: sparse_games(["linear"], crowded))
+        .flatmap(_with_order)
+    )
+    @example(_flip_case(NOT_X))
+    @example(_flip_case(NAND_XY))
+    @example(_flip_case(AND_XY))
+    def test_next_player_has_the_most_placed_sharers(self, case):
+        game, priority = case
+        order = _search_order(game, priority)
+        assert sorted(order) == list(range(game.n_players))
+        assert order[0] == priority[0]
+        users = game.users
+        sharers = [
+            {v for s in strats for e in s for v in users[e]} - {u}
+            for u, strats in enumerate(game.players)
+        ]
+        for t in range(1, len(order)):
+            placed = set(order[:t])
+            counts = {v: len(sharers[v] & placed) for v in order[t:]}
+            most = max(counts.values())
+            assert counts[order[t]] == most
+            assert order[t] == next(v for v in priority if counts.get(v) == most)
+        # no priority: more sharers first, lower index on ties
+        hubs_first = sorted(range(game.n_players), key=lambda u: (-len(sharers[u]), u))
+        assert _search_order(game, None) == _search_order(game, hubs_first)
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 4], [0, 1, 2, 2.5], [0, 1, 2, "3"]],
+        ids=["repeat", "short", "long", "outside", "fraction", "string"],
+    )
+    def test_bad_order_is_refused_before_the_search_order(self, order, monkeypatch):
+        def refine(game, priority):
+            raise AssertionError("an unchecked order reached _search_order")
+
+        monkeypatch.setattr("congames.verify._search_order", refine)
+        with pytest.raises(ValidationError) as info:
+            enumerate_equilibria(random_game(4), rho=1, order=order)
+        assert info.value.exit_code == 2
 
 
 class TestOraclesLeaveNoCycles:
