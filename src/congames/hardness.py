@@ -648,7 +648,7 @@ def build_flip_game(
             rows.append(lock_copy(value, slot, k, label[kind][idx]))
         return rows
 
-    comp_keys = sorted(bundle.comparisons)
+    comp_keys = [key for key, _ in circuits[1:]]
 
     def block_s(key: CompKey, y_owner: int) -> int:
         j, i, b = key

@@ -11,10 +11,9 @@ searches in exact integer (or Fraction) arithmetic:
 * `enumerate_equilibria` discards a branch as soon as some placed player
   has a forbidden improving move in every completion of it; its docstring
   says when a player is tested.  Its state is one integer, the code, with a
-  bit field per resource load and per player choice.  A verdict depends only
-  on her choice, the loads on her closed shared resources and which
-  resources are open, so each is computed once per call and kept in a dict
-  per test (player and open set), keyed by the code under the test's mask.
+  bit field per resource load and per player choice.  Each test is built
+  once, by `_tests`, and keeps its verdicts keyed by the code under its
+  mask, the fields it reads; `_tests` states the layout and the key rule.
   Players are placed by maximum cardinality search over the graph of
   players who share a resource: each next player shares one with the most
   players already placed, so their resources close and their tests fire
@@ -239,8 +238,8 @@ def enumerate_equilibria(
     wide enough for its user count, holds its load, then a field per player
     holds her choice.  Placing a player adds a precomputed step to the code,
     so nothing is undone on return.  A test keeps its verdicts keyed by the
-    code under its mask, her choice and the loads on her closed shared
-    resources.  Leaves are decoded to choices and loads once, at the end.
+    code under its mask; `_tests` builds every test and states what the
+    mask holds.  Leaves are decoded to choices and loads once, at the end.
     """
     _require_budget(game, budget)
     if rho is not None:
@@ -252,7 +251,6 @@ def enumerate_equilibria(
             raise ValidationError("order must be a permutation of the players")
     order = _search_order(game, order)
     position = {u: i for i, u in enumerate(order)}
-    table = game.latency_table
     # bits[i]: the (shift, mask) of resource i's load field in the code, or
     # of player i - r's choice field
     widths = [len(us).bit_length() for us in game.users]
@@ -266,10 +264,7 @@ def enumerate_equilibria(
 
     def violates(code: int, test: tuple) -> bool:
         # True when the tested player has a forbidden move in every
-        # completion.  test holds the (shift, mask) of her choice field and,
-        # per choice, her cost's lower bound and each other strategy's upper
-        # bound, as a constant plus column[(code >> shift) & mask] per
-        # (shift, mask, column) term.
+        # completion; `_tests` gives the layout of `test`.
         shift, mask, per_choice = test
         (cost, reads), deviations = per_choice[(code >> shift) & mask]
         for s, m, column in reads:
@@ -284,27 +279,7 @@ def enumerate_equilibria(
                 return True
         return False
 
-    def packed(u: int, keyed: list[int], bounds: tuple) -> tuple:
-        # One test of u from `_bounded_tests` as (mask, verdicts, test).
-        # The cost reads the table at loads that count u; a deviation reads
-        # a resource outside u's choice from load 1 on, since she would join
-        # it.
-        lows, highs, closed = bounds
-
-        def reads(resources, current):
-            return [(*bits[e], table[e] if e in current else table[e][1:]) for e in resources]
-
-        mask = sum(m << s for s, m in (bits[e] for e in keyed + [r + u]))
-        per_choice = [
-            (
-                (lows[c], reads(mine, mine)),
-                [(highs[a], reads(other, mine)) for a, other in enumerate(closed) if a != c],
-            )
-            for c, mine in enumerate(closed)
-        ]
-        return mask, {}, (*bits[r + u], per_choice)
-
-    # checks_at[depth]: the tests run once the player at `depth` is placed.
+    # checks_at[depth]: the checks run once the player at `depth` is placed.
     checks_at: list[list[tuple]] = [[] for _ in range(n)]
     if rho is not None:  # with rho=None every state qualifies: no checks
         rho_num, rho_den = rho.numerator, rho.denominator
@@ -314,9 +289,9 @@ def enumerate_equilibria(
         # tests, the latest placed player first: she is the likeliest to
         # have a forbidden move.
         tests = sorted(
-            ((t, is_open, -position[u] if is_open else u), packed(u, keyed, bounds))
+            ((t, bool(opened), -position[u] if opened else u), check)
             for u in range(n)
-            for t, is_open, keyed, bounds in _bounded_tests(game, u, position[u], last)
+            for t, opened, check in _tests(game, u, position[u], last, bits)
         )
         for (t, _, _), check in tests:
             checks_at[t].append(check)
@@ -350,26 +325,49 @@ def enumerate_equilibria(
     return states
 
 
-def _bounded_tests(game: CongestionGame, u: int, placed: int, last: list[int]):
-    """Yield (depth, has an open resource, closed shared resources, bounds).
+def _tests(game: CongestionGame, u: int, placed: int, last: list[int], bits: list[tuple]):
+    """Yield (depth, open resources, check) for each test of player u.
 
-    One entry per test of u, at the depths that `enumerate_equilibria`
-    names; u is placed at depth `placed`, and last[e] is the depth where
-    resource e closes.  The bounds are (lows, highs, closed) of its
-    `violates`: per strategy, the sums of the smaller and of the larger of
-    f(1) and f(2) over its open resources, and its closed resources.
+    u is placed at depth `placed`, resource e closes at depth last[e], and
+    bits[i] is the (shift, mask) of resource i's load field in the search
+    code, or of player i - r's choice field.  The depths are those that
+    `enumerate_equilibria` names; her resources not closed there are open.
+
+    A check is the (mask, verdicts, test) that the search runs; test is
+    (shift, mask, per_choice) of her choice field.  per_choice[c] holds her
+    cost's lower bound, then each other strategy's upper bound: a constant,
+    the smaller (cost) or larger (deviation) of f(1) and f(2) summed over
+    the strategy's open resources, and a (shift, mask, column) read per
+    closed one, adding column[load].  A deviation's column for a resource
+    outside strategy c starts at load 1, since she would join it.
+
+    Key rule: a verdict reads only her choice and the loads of her closed
+    resources, which are exactly the fields of the mask, so a verdict kept
+    in `verdicts` under code & mask holds for every code with that key.
     """
     users, table = game.users, game.latency_table
     strats = game.players[u]
     mine = {e for s in strats for e in s}
+    choice = bits[game.n_resources + u]
     start = max([placed] + [last[e] for e in mine if len(users[e]) > 2])
     for t in sorted({start} | {last[e] for e in mine if last[e] > start}):
-        pairs = {e: (table[e][1], table[e][2]) for e in mine if last[e] > t}
-        lows = tuple(sum(min(pairs[e]) for e in s if e in pairs) for s in strats)
-        highs = tuple(sum(max(pairs[e]) for e in s if e in pairs) for s in strats)
-        closed = tuple(tuple(e for e in s if e not in pairs) for s in strats)
-        keyed = sorted(e for e in mine if len(users[e]) > 1 and e not in pairs)
-        yield t, bool(pairs), keyed, (lows, highs, closed)
+        opened = {e for e in mine if last[e] > t}
+        lows = [sum(min(table[e][1], table[e][2]) for e in s if e in opened) for s in strats]
+        highs = [sum(max(table[e][1], table[e][2]) for e in s if e in opened) for s in strats]
+        closed = [[e for e in s if e not in opened] for s in strats]
+        per_choice = [
+            (
+                (lows[c], [(*bits[e], table[e]) for e in closed[c]]),
+                [
+                    (highs[a], [(*bits[e], table[e] if e in s else table[e][1:]) for e in other])
+                    for a, other in enumerate(closed)
+                    if a != c
+                ],
+            )
+            for c, s in enumerate(strats)
+        ]
+        mask = sum(m << shift for shift, m in [choice] + [bits[e] for e in mine - opened])
+        yield t, opened, (mask, {}, (*choice, per_choice))
 
 
 @dataclass

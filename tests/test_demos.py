@@ -1,4 +1,4 @@
-"""Each demo script runs end to end and exits 0."""
+"""Each demo script runs end to end and exits 0, and so does README's Quick start."""
 
 import os
 import subprocess
@@ -29,3 +29,12 @@ def test_demo_runs(demo, tmp_path):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start(capsys):
+    # README's Quick start block prints the reached rho* and the solver's
+    # bound; the block and the line it prints must not drift apart.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out == "1 <= 340/103\n"

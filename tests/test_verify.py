@@ -24,8 +24,8 @@ from congames import (
 from congames.hardness import enumeration_order
 from congames.verify import (
     AuditReport,
-    _bounded_tests,
     _search_order,
+    _tests,
     naive_state_scan,
     state_space_size,
 )
@@ -409,13 +409,16 @@ class TestEnumerationTestDepths:
     @example(_flip_case(AND_XY))
     def test_players_are_tested_where_their_resources_close(self, case):
         game, order = case
+        r = game.n_resources
         position = {u: t for t, u in enumerate(order)}
         users = game.users
         last = [max((position[v] for v in us), default=0) for us in users]
+        # one bit per field: a read's or a mask's shift names its field
+        bits = [(i, 1) for i in range(r + game.n_players)]
         for u, strats in enumerate(game.players):
             mine = {e for s in strats for e in s}
-            tests = list(_bounded_tests(game, u, position[u], last))
-            depths = [t for t, _, _, _ in tests]
+            tests = list(_tests(game, u, position[u], last, bits))
+            depths = [t for t, _, _ in tests]
             # first test: once every open resource of hers has two users
             assert depths[0] == min(
                 t
@@ -425,11 +428,23 @@ class TestEnumerationTestDepths:
             # then every depth that places a player sharing a resource with her
             sharers = set().union(*(users[e] for e in mine))
             assert depths == [t for t in range(depths[0], len(order)) if order[t] in sharers]
-            opened = [mine.difference(*closed) for _, _, _, (_, _, closed) in tests]
+            opened = [o for _, o, _ in tests]
+            assert opened == [{e for e in mine if last[e] > t} for t in depths]
             assert all(later < earlier for earlier, later in zip(opened, opened[1:]))
-            flags = [has_open for _, has_open, _, _ in tests]
-            assert flags == [bool(o) for o in opened] == [True] * (len(tests) - 1) + [False]
+            assert [bool(o) for o in opened] == [True] * (len(tests) - 1) + [False]
             assert depths[-1] == max(last[e] for e in mine)
+            # a check's mask is her choice field plus the fields its reads
+            # name, and no read names an open resource
+            for _, o, (mask, verdicts, (shift, _, per_choice)) in tests:
+                assert verdicts == {} and shift == r + u
+                read = {
+                    s
+                    for bounds in per_choice
+                    for _, reads in [bounds[0], *bounds[1]]
+                    for s, _, _ in reads
+                }
+                assert mask == sum(1 << i for i in read | {r + u})
+                assert read == mine - o
 
 
 class TestSearchOrder:
