@@ -6,7 +6,7 @@ affine latencies (negative offsets allowed) in which every resource is
 shared by at most two players.  Its exact equilibria are meant to encode the
 circuit's local minima, read off the input players' strategies; that is
 checked by enumeration on small bundles such as this one, and it is known to
-fail on y = NAND(x3, NAND(x2, x1)) (ROADMAP item 1).
+fail on y = NAND(x3, NAND(x2, x1)) (ROADMAP item 8).
 """
 
 import itertools

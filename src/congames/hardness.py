@@ -6,7 +6,7 @@ circuit bundles into congestion games (hardness mode: affine latencies with
 possibly negative offsets) whose exact equilibria are meant to encode Flip
 local minima.  That correspondence is checked by enumeration on small
 bundles only, and it is known to fail on y = NAND(x3, NAND(x2, x1)), whose
-test is a strict expected failure (ROADMAP item 1).
+test is a strict expected failure (ROADMAP item 8).
 
 A bundle consists of a *main* circuit (the Flip instance, plus one
 consistency guard gate per output) and one *comparison* circuit per

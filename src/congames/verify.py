@@ -13,7 +13,9 @@ searches in exact integer (or Fraction) arithmetic:
   says when a player is tested.  Its state is one integer, the code, with a
   bit field per resource load and per player choice.  Each test is built
   once, by `_tests`, and keeps its verdicts keyed by the code under its
-  mask, the fields it reads; `_tests` states the layout and the key rule.
+  mask, the fields it reads.  It reads the tested player's resources at
+  the other players' loads, so her cost and every deviation to a strategy
+  share one read list; `_tests` states the layout and the key rule.
   Players are placed by maximum cardinality search over the graph of
   players who share a resource: each next player shares one with the most
   players already placed, so their resources close and their tests fire
@@ -237,9 +239,13 @@ def enumerate_equilibria(
     The search state is one integer, the code: a bit field per resource,
     wide enough for its user count, holds its load, then a field per player
     holds her choice.  Placing a player adds a precomputed step to the code,
-    so nothing is undone on return.  A test keeps its verdicts keyed by the
-    code under its mask; `_tests` builds every test and states what the
-    mask holds.  Leaves are decoded to choices and loads once, at the end.
+    so nothing is undone on return.  A test reads the tested player's
+    closed resources at the other players' loads (the code less her step),
+    so her cost and her deviations to a strategy share one read list.  A
+    test keeps its verdicts keyed by the code under its mask; `_tests`
+    builds every test and states its layout, the others-load rule and what
+    the mask holds.  Leaves are decoded to choices and loads once, at the
+    end.
     """
     _require_budget(game, budget)
     if rho is not None:
@@ -264,17 +270,20 @@ def enumerate_equilibria(
 
     def violates(code: int, test: tuple) -> bool:
         # True when the tested player has a forbidden move in every
-        # completion; `_tests` gives the layout of `test`.
+        # completion; `_tests` gives the layout of `test`.  Every read is at
+        # the other players' load: the code less her step, which borrows
+        # nothing, since she is placed and each field of her step holds her.
         shift, mask, per_choice = test
-        (cost, reads), deviations = per_choice[(code >> shift) & mask]
+        step, cost, reads, deviations = per_choice[(code >> shift) & mask]
+        others = code - step
         for s, m, column in reads:
-            cost += column[(code >> s) & m]
+            cost += column[(others >> s) & m]
         if cost == 0:
             return False
         threshold = cost * rho_den
         for dev, reads in deviations:
             for s, m, column in reads:
-                dev += column[(code >> s) & m]
+                dev += column[(others >> s) & m]
             if dev * rho_num < threshold:
                 return True
         return False
@@ -285,13 +294,15 @@ def enumerate_equilibria(
         rho_num, rho_den = rho.numerator, rho.denominator
         # last[e]: the depth that places e's last user, where e closes
         last = [max((position[v] for v in us), default=0) for us in game.users]
+        # joined[e][k]: e's latency once she joins k other players on it
+        joined = [column[1:] for column in game.latency_table]
         # A depth's exact checks come first, in player order, then its bound
         # tests, the latest placed player first: she is the likeliest to
         # have a forbidden move.
         tests = sorted(
             ((t, bool(opened), -position[u] if opened else u), check)
             for u in range(n)
-            for t, opened, check in _tests(game, u, position[u], last, bits)
+            for t, opened, check in _tests(game, u, position[u], last, bits, steps, joined)
         )
         for (t, _, _), check in tests:
             checks_at[t].append(check)
@@ -325,25 +336,46 @@ def enumerate_equilibria(
     return states
 
 
-def _tests(game: CongestionGame, u: int, placed: int, last: list[int], bits: list[tuple]):
+def _tests(
+    game: CongestionGame,
+    u: int,
+    placed: int,
+    last: list[int],
+    bits: list[tuple],
+    steps: list[list[int]],
+    joined: list[tuple],
+):
     """Yield (depth, open resources, check) for each test of player u.
 
-    u is placed at depth `placed`, resource e closes at depth last[e], and
+    u is placed at depth `placed`, resource e closes at depth last[e],
     bits[i] is the (shift, mask) of resource i's load field in the search
-    code, or of player i - r's choice field.  The depths are those that
-    `enumerate_equilibria` names; her resources not closed there are open.
+    code, or of player i - r's choice field, steps[u][c] is what placing u
+    on strategy c adds to the code, and joined[e] is table[e][1:].  The
+    depths are those that `enumerate_equilibria` names; her resources not
+    closed there are open.
 
     A check is the (mask, verdicts, test) that the search runs; test is
-    (shift, mask, per_choice) of her choice field.  per_choice[c] holds her
-    cost's lower bound, then each other strategy's upper bound: a constant,
-    the smaller (cost) or larger (deviation) of f(1) and f(2) summed over
-    the strategy's open resources, and a (shift, mask, column) read per
-    closed one, adding column[load].  A deviation's column for a resource
-    outside strategy c starts at load 1, since she would join it.
+    (shift, mask, per_choice) of her choice field, and per_choice[c] is
+    (steps[u][c], low, reads[c], deviations):
+
+    * reads[a] holds a (shift, mask, joined[e]) read per closed resource e
+      of strategy a;
+    * deviations holds (high, reads[a]) for each a != c, in strategy order;
+    * low and high sum the smaller and the larger of f(1) and f(2) over
+      strategy c's or a's open resources: a lower bound on her cost and an
+      upper bound on a deviation's.
+
+    Others-load rule: the search takes her step out of the code and reads
+    each field there, at the other players' load k on e.  joined[e][k] is
+    f_e(k + 1), her latency on e both where she uses it and where she
+    would join it, so her cost on a and every deviation to a read the same
+    list, reads[a], built once per test.
 
     Key rule: a verdict reads only her choice and the loads of her closed
-    resources, which are exactly the fields of the mask, so a verdict kept
-    in `verdicts` under code & mask holds for every code with that key.
+    resources (the other players' loads there are those less her step,
+    which her choice fixes), which are exactly the fields of the mask, so a
+    verdict kept in `verdicts` under code & mask holds for every code with
+    that key.
     """
     users, table = game.users, game.latency_table
     strats = game.players[u]
@@ -354,17 +386,11 @@ def _tests(game: CongestionGame, u: int, placed: int, last: list[int], bits: lis
         opened = {e for e in mine if last[e] > t}
         lows = [sum(min(table[e][1], table[e][2]) for e in s if e in opened) for s in strats]
         highs = [sum(max(table[e][1], table[e][2]) for e in s if e in opened) for s in strats]
-        closed = [[e for e in s if e not in opened] for s in strats]
+        reads = [[(*bits[e], joined[e]) for e in s if e not in opened] for s in strats]
+        deviations = list(zip(highs, reads))
         per_choice = [
-            (
-                (lows[c], [(*bits[e], table[e]) for e in closed[c]]),
-                [
-                    (highs[a], [(*bits[e], table[e] if e in s else table[e][1:]) for e in other])
-                    for a, other in enumerate(closed)
-                    if a != c
-                ],
-            )
-            for c, s in enumerate(strats)
+            (steps[u][c], lows[c], reads[c], deviations[:c] + deviations[c + 1 :])
+            for c in range(len(strats))
         ]
         mask = sum(m << shift for shift, m in [choice] + [bits[e] for e in mine - opened])
         yield t, opened, (mask, {}, (*choice, per_choice))

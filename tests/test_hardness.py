@@ -55,7 +55,7 @@ NOT_X = FlipInstance(1, [(X(0), X(0))], [0])  # y = NOT x1
 NAND_XY = FlipInstance(2, [(X(0), X(1))], [0])  # y = NAND(x1, x2)
 AND_XY = FlipInstance(2, [(X(0), X(1)), (G(0), G(0))], [1])  # y = x1 AND x2
 # y = NAND(x3, NAND(x2, x1)), plus two gates no output reads; its 19-gate
-# bundle has equilibria that decode to a non-minimum (ROADMAP item 1)
+# bundle has equilibria that decode to a non-minimum (ROADMAP item 8)
 BREAKS = FlipInstance(3, [(X(1), X(0)), (X(2), G(0)), (X(2), X(1)), (X(1), X(2))], [1])
 GOLDEN = [
     read_flip_instance(str(Path(__file__).parent / "fixtures" / f"{name}.circuit.json"))

@@ -222,6 +222,18 @@ class TestEnumerateEquilibria:
         permuted = enumerate_equilibria(g, rho=1, order=[3, 1, 0, 2])
         assert [s.choices for s in base] == [s.choices for s in permuted]
 
+    def test_resource_in_two_strategies_is_read_at_her_load(self):
+        # Resource 2 lies in both of player 0's strategies, so it cancels
+        # from her comparison only when her cost and her deviation read it
+        # at the same load.  Both equilibria are ties for her: reading one
+        # side one load off (f_2 moves by 10 a load) breaks them.
+        g = CongestionGame([[2], [0, 1], [0, 10]], [[[0, 2], [1, 2]], [[1], [2]]])
+        for rho in (F(1), F(2)):
+            assert [s.choices for s in naive_state_scan(g, rho)] == [(0, 0), (1, 0)]
+            for order in ([0, 1], [1, 0]):
+                eqs = enumerate_equilibria(g, rho=rho, order=order)
+                assert [s.choices for s in eqs] == [(0, 0), (1, 0)]
+
     def test_rejects_bad_inputs(self):
         g = random_game(4)
         with pytest.raises(ValidationError):
@@ -355,7 +367,7 @@ class TestOraclesAgainstScans:
         assert (len(game.users[0]), len(game.users[-1])) == (4, 8)
         assert sorted(map(len, game.players)) == [1, 1, 2, 2, 2, 3, 4, 5]
         backward = list(range(game.n_players))[::-1]
-        for rho in (F(1), F(3, 2), None):
+        for rho in (F(1), F(3, 2), F(2), None):
             slow = [s.choices for s in naive_state_scan(game, rho)]
             for o in (None, backward):
                 fast = enumerate_equilibria(game, rho=rho, order=o)
@@ -415,9 +427,14 @@ class TestEnumerationTestDepths:
         last = [max((position[v] for v in us), default=0) for us in users]
         # one bit per field: a read's or a mask's shift names its field
         bits = [(i, 1) for i in range(r + game.n_players)]
+        steps = [
+            [sum(1 << e for e in s) + (c << (r + u)) for c, s in enumerate(strats)]
+            for u, strats in enumerate(game.players)
+        ]
+        joined = [column[1:] for column in game.latency_table]
         for u, strats in enumerate(game.players):
             mine = {e for s in strats for e in s}
-            tests = list(_tests(game, u, position[u], last, bits))
+            tests = list(_tests(game, u, position[u], last, bits, steps, joined))
             depths = [t for t, _, _ in tests]
             # first test: once every open resource of hers has two users
             assert depths[0] == min(
@@ -437,14 +454,19 @@ class TestEnumerationTestDepths:
             # name, and no read names an open resource
             for _, o, (mask, verdicts, (shift, _, per_choice)) in tests:
                 assert verdicts == {} and shift == r + u
-                read = {
-                    s
-                    for bounds in per_choice
-                    for _, reads in [bounds[0], *bounds[1]]
-                    for s, _, _ in reads
-                }
+                assert [step for step, _, _, _ in per_choice] == steps[u]
+                read = {s for _, _, reads, _ in per_choice for s, _, _ in reads}
                 assert mask == sum(1 << i for i in read | {r + u})
                 assert read == mine - o
+                # choice c's deviation to a reads the list that a's own
+                # cost reads, and every read is the one joined column
+                for c, (_, _, _, deviations) in enumerate(per_choice):
+                    others = [a for a in range(len(strats)) if a != c]
+                    assert len(deviations) == len(others)
+                    for a, (_, reads) in zip(others, deviations):
+                        assert reads is per_choice[a][2]
+                for _, _, reads, _ in per_choice:
+                    assert all(column is joined[s] for s, _, column in reads)
 
 
 class TestSearchOrder:
