@@ -6,18 +6,21 @@ indices).  A state fixes one strategy per player; the load of a resource is
 the number of players whose chosen strategy contains it, and a player's cost
 is the sum of her resources' latencies at their loads.
 
-All arithmetic is exact.  A latency function keeps its coefficients as
-integer numerators over one common denominator (the lcm of the coefficient
-denominators) and evaluates by Horner's rule in integers; a value is an int
-when it is integral and a `Fraction` otherwise, so an integral game never
-builds a `Fraction` for a latency value.  A game evaluates each latency once,
-into its value table (`CongestionGame.latency_table`); resources that hold
-one function object and have as many users share one column, and
-`serialize.game_from_dict` builds one function per distinct coefficient
-list.  Costs and potentials are sums of table entries, each returned as one
-`fractions.Fraction`.  `cost_sums` hands out the unwrapped sums (ints when
-the table is integral), which the dynamics keep unwrapped from the best
-response to the printed trace.  Two modes are supported:
+All arithmetic is exact.  A latency function stores each coefficient as a
+`Value`: an int when it is integral and a `Fraction` otherwise.  It
+evaluates by Horner's rule in integers: when every coefficient is an int,
+over the coefficients themselves, kept from construction; otherwise over
+integer numerators on the lcm of the coefficient denominators, derived on
+first use.  A latency value is an int when it is integral, so an integral
+game never builds a `Fraction` for a coefficient or a latency value.  A game
+evaluates each latency once, into its value table
+(`CongestionGame.latency_table`); resources that hold one function object
+and have as many users share one column, and `serialize.game_from_dict` and
+`hardness.build_flip_game` build one function per distinct coefficient list
+or value pair.  Costs and potentials are sums of table entries, each
+returned as one `fractions.Fraction`.  `cost_sums` hands out the unwrapped
+sums (ints when the table is integral), which the dynamics keep unwrapped
+from the best response to the printed trace.  Two modes are supported:
 
 * ``standard``: polynomial latencies with non-negative coefficients (the
   usual setting; monotonicity and the potential sandwich hold).
@@ -88,6 +91,11 @@ def _quote(value) -> str:
     return repr(value)
 
 
+def _rationals(values: Iterable[Value]) -> str:
+    """Exact rationals joined by commas: '-1, 1/2'."""
+    return ", ".join(map(str, values))
+
+
 def _check_exponent(text: str) -> None:
     """Reject a decimal exponent beyond the `digit_limit`.
 
@@ -130,6 +138,11 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise ValidationError(f"not a rational: {value!r}")
 
 
+def as_value(x: Fraction) -> Value:
+    """`x` as a `Value`: its numerator when it is integral, else `x` itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def to_factor(value: RationalLike, name: str) -> Fraction:
     """Coerce a factor, a rational >= 1 such as rho or q, to Fraction."""
     q = value if isinstance(value, Fraction) else to_fraction(value)
@@ -161,30 +174,39 @@ def to_integer(value, name: str, least: Optional[int] = None) -> int:
 class LatencyFunction:
     """Polynomial latency f(x) = sum_k coeffs[k] * x**k with rational coeffs.
 
-    `eval` works on integer numerators over the common denominator of the
-    coefficients, derived from `coeffs` on first use and cached on the
-    instance; they take no part in equality or hashing.
+    Each coefficient is a `Value`: an int when it is integral (given as an
+    int, a digit string or an integral `Fraction`), a `Fraction` otherwise.
+    As 3 == Fraction(3) and both hash alike, equality and hashing do not see
+    the split.  `eval` works on integer numerators over the common
+    denominator of the coefficients.  When every coefficient is an int they
+    are the coefficients themselves over 1, stored at construction;
+    otherwise they are derived on first use and cached on the instance.
+    They take no part in equality or hashing.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Value, ...]
 
     def __init__(self, coefficients: Iterable[RationalLike]):
-        coeffs = tuple(to_fraction(c) for c in coefficients)
-        if not coeffs:
-            coeffs = (Fraction(0),)
+        coeffs = tuple(
+            c if type(c) is int else as_value(to_fraction(c)) for c in coefficients
+        ) or (0,)
         object.__setattr__(self, "coeffs", coeffs)
+        if all(type(c) is int for c in coeffs):
+            # Fills the cached_property before any use; object.__setattr__,
+            # unlike vars(self), does not build a per-instance dict.
+            object.__setattr__(self, "_horner", (coeffs[::-1], 1))
 
     @property
     def degree(self) -> int:
         """Effective degree: trailing zero coefficients do not count."""
         d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d].numerator == 0:
+        while d > 0 and self.coeffs[d] == 0:
             d -= 1
         return d
 
     @property
     def has_nonnegative_coeffs(self) -> bool:
-        return all(c.numerator >= 0 for c in self.coeffs)
+        return all(c >= 0 for c in self.coeffs)
 
     @cached_property
     def _horner(self) -> tuple[tuple[int, ...], int]:
@@ -208,8 +230,7 @@ class LatencyFunction:
             total = total * load + a
         if den == 1:
             return total
-        value = Fraction(total, den)
-        return value.numerator if value.denominator == 1 else value
+        return as_value(Fraction(total, den))
 
 
 @dataclass(frozen=True)
@@ -264,25 +285,29 @@ class CongestionGame:
                         raise ValidationError(
                             f"player {u} strategy {s_idx} uses invalid resource {e}"
                         )
+        # Each function object is checked once, as its first resource.
+        first: dict[int, tuple[int, LatencyFunction]] = {}
+        for e, f in enumerate(self.resources):
+            first.setdefault(id(f), (e, f))
         if self.mode == STANDARD:
-            for e, f in enumerate(self.resources):
+            for e, f in first.values():
                 if not f.has_nonnegative_coeffs:
                     raise ValidationError(
                         f"standard mode requires non-negative coefficients; "
-                        f"resource {e} has {f.coeffs}"
+                        f"resource {e} has {_rationals(f.coeffs)}"
                     )
         else:
             n = self.n_players
-            for e, f in enumerate(self.resources):
+            for e, f in first.values():
                 if f.degree > 1:
                     raise ValidationError(
                         f"hardness mode requires affine latencies; resource {e} "
                         f"has degree {f.degree}"
                     )
-                if any(c.denominator != 1 for c in f.coeffs):
+                if any(type(c) is not int for c in f.coeffs):
                     raise ValidationError(
                         f"hardness mode requires integer latency values; "
-                        f"resource {e} has {f.coeffs}"
+                        f"resource {e} has {_rationals(f.coeffs)}"
                     )
                 # An affine function is smallest at an end of [1, n].
                 for x in (1, max(n, 1)):

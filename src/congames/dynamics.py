@@ -28,7 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Optional
 
-from .core import CongestionGame, State, Value, to_factor, to_fraction, to_integer
+from .core import (
+    CongestionGame,
+    State,
+    Value,
+    as_value,
+    to_factor,
+    to_fraction,
+    to_integer,
+)
 from .errors import ValidationError
 from .serialize import format_rational, json_text, write_json
 
@@ -199,10 +207,7 @@ class Walk:
         self.game = game
         self.initial = state
         self.state = state
-        potential = game.potential(state)
-        self.potential: Value = (
-            potential.numerator if potential.denominator == 1 else potential
-        )
+        self.potential: Value = as_value(game.potential(state))
         self.moves: list[MoveRecord] = []
         self.results: dict[int, Optional[tuple[int, Value]]] = {}
 

@@ -575,6 +575,10 @@ def build_flip_game(
     resource indices to gadget names for debugging and for reading solutions
     back out (input players' strategy 0 is always their One).  `params` must
     be the ladder `GadgetParams.for_bundle` gives `bundle` at its alpha.
+
+    Resources with the same value pair share one `LatencyFunction`, so the
+    game checks and evaluates each distinct pair once: a built game has
+    hundreds of resources but a few dozen pairs.
     """
     if params != GadgetParams.for_bundle(bundle, alpha=params.alpha):
         raise ValidationError(
@@ -816,7 +820,8 @@ def build_flip_game(
         rows += value_rows("y", j, 0)
         asm.strategy(p, "Zero", rows)
 
-    resources = [pair_to_linear(a, b) for a, b in asm.resource_pairs]
+    functions = {pair: pair_to_linear(*pair) for pair in set(asm.resource_pairs)}
+    resources = [functions[pair] for pair in asm.resource_pairs]
     game = CongestionGame(resources, asm.strategies, mode="hardness")
     labels = {
         "players": asm.player_labels,
@@ -872,12 +877,15 @@ def positivize(game: CongestionGame, alpha: int) -> CongestionGame:
         raise ValidationError("positivize expects a hardness-mode game")
     alpha = to_integer(alpha, "alpha", least=2)
     scale = game.n_resources * alpha
-    new_resources = []
+    # One new function per function object: a shared function stays shared.
+    scaled: dict[int, LatencyFunction] = {}
     for f in game.resources:
-        a, b = f.eval(1), f.eval(2)  # ints: hardness values are integral
-        new_a = 1 if a == 0 else a * scale
-        new_b = 1 if b == 0 else b * scale
-        new_resources.append(pair_to_linear(new_a, new_b))
+        if id(f) not in scaled:
+            a, b = f.eval(1), f.eval(2)  # ints: hardness values are integral
+            new_a = 1 if a == 0 else a * scale
+            new_b = 1 if b == 0 else b * scale
+            scaled[id(f)] = pair_to_linear(new_a, new_b)
+    new_resources = [scaled[id(f)] for f in game.resources]
     return CongestionGame(new_resources, game.players, mode="hardness")
 
 

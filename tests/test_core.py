@@ -2,6 +2,7 @@
 and the package's public names."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -306,6 +307,25 @@ class TestValidation:
     def test_negative_coefficient_standard(self):
         with pytest.raises(ValidationError):
             CongestionGame([[-1, 2]], [[[0]]])
+
+    @pytest.mark.parametrize(
+        "mode, coeffs, message",
+        [
+            ("standard", [-1, F(1, 2)],
+             "standard mode requires non-negative coefficients; resource 1 has -1, 1/2"),
+            ("hardness", [F(-1), "1/2"],
+             "hardness mode requires integer latency values; resource 1 has -1, 1/2"),
+            ("hardness", [0, 0, 1],
+             "hardness mode requires affine latencies; resource 1 has degree 2"),
+            ("hardness", [-3, 1], "resource 1 has negative latency -2 at load 1"),
+        ],
+        ids=["standard-sign", "hardness-integer", "hardness-degree", "hardness-value"],
+    )
+    def test_coefficient_errors_name_the_first_resource(self, mode, coeffs, message):
+        # resources 1 and 3 share the failing function and are checked once
+        ok, bad = LatencyFunction([1, 1]), LatencyFunction(coeffs)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            CongestionGame([ok, bad, ok, bad], [[[0, 1, 2, 3]]], mode=mode)
 
     def test_negative_offset_allowed_in_hardness(self):
         g = CongestionGame([[-1, 1]], [[[0]]], mode="hardness")

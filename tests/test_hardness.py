@@ -70,6 +70,14 @@ def build(circuit, rho=F(2), alpha=None):
     return bundle, params, game, labels
 
 
+def sharing(game):
+    """The resource indices of each function object, by first index."""
+    groups = {}
+    for e, f in enumerate(game.resources):
+        groups.setdefault(id(f), []).append(e)
+    return list(groups.values())
+
+
 class TestFlipObjective:
     def test_weighted_outputs(self):
         # gate 0 computes 1 at x=0, gate 1 computes NOT(gate 0) = 0
@@ -411,6 +419,11 @@ class TestBuildFlipGame:
         for f in game.resources:
             assert all(c.denominator == 1 for c in f.coeffs)
 
+    def test_one_function_per_value_pair(self):
+        _, _, game, _ = build(AND_XY)
+        pairs = {(f.eval(1), f.eval(2)) for f in game.resources}
+        assert len(sharing(game)) == len(pairs) < game.n_resources
+
     def test_two_output_circuit(self):
         # y1 = NAND(x1, x2), y2 = NOT x1: exercises cross-output trigger
         # copies, the higher-output equality conjuncts, and the gamma^2 rung
@@ -533,6 +546,12 @@ class TestPositivize:
         out = positivize(game, params.alpha)
         for f in out.resources:
             assert f.eval(1) >= 1 and f.eval(2) >= 1
+
+    def test_shared_functions_stay_shared(self):
+        _, params, game, _ = build(AND_XY)
+        out = positivize(game, params.alpha)
+        assert sharing(out) == sharing(game)
+        assert len(sharing(out)) < out.n_resources
 
     def test_strict_preferences_preserved(self):
         _, params, game, _ = build(NOT_X)

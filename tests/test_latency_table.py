@@ -3,7 +3,7 @@
 Every cost and potential is a sum of table entries; these properties
 recompute each one from `LatencyFunction.eval` over `load_profile`, and
 `eval` itself, the integer kernel, is checked against a power sum of
-`Fraction`s.
+`Fraction`s, as the stored coefficients are against their `Fraction`s.
 """
 
 from fractions import Fraction
@@ -23,8 +23,15 @@ from congames import (
 )
 
 thousand_bits = st.integers(-(2**1000), 2**1000)
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# Every input form the constructor accepts: ints, Fractions, "p/q" and digit
+# strings, and decimal strings.
 any_coefficient = st.one_of(
-    st.fractions(min_value=-50, max_value=50, max_denominator=12), thousand_bits
+    small_fractions,
+    thousand_bits,
+    small_fractions.map(str),
+    st.integers(0, 2**1000).map(str),
+    st.decimals(-1000, 1000, places=3).map(str),
 )
 
 
@@ -40,6 +47,18 @@ def power_sum(coeffs, load):
 def test_eval_matches_power_sum(coeffs, load):
     value = LatencyFunction(coeffs).eval(load)
     assert exact_value(value, power_sum(coeffs, load))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_coefficient, max_size=5))
+def test_coefficients_are_ints_exactly_when_integral(coeffs):
+    f = LatencyFunction(coeffs)
+    exact = [Fraction(c) for c in coeffs] or [Fraction(0)]
+    assert all(exact_value(c, x) for c, x in zip(f.coeffs, exact, strict=True))
+    # equal to, and hashing as, the same coefficients all held as Fractions
+    assert f.coeffs == tuple(exact) and hash(f.coeffs) == hash(tuple(exact))
+    g = LatencyFunction(exact)
+    assert f == g and hash(f) == hash(g)
 
 
 @settings(max_examples=200, deadline=None)
