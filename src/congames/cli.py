@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import generators, hardness, serialize, solver, verify
-from .core import CongestionGame, State, to_factor, to_integer
+from .core import CongestionGame, State, format_rational, to_factor, to_integer
 from .dynamics import RunTrace
 from .errors import CongestionGameError, ContractViolationError, ValidationError
 
@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
     if args.rho is not None:
         inf = args.rho.lower() in ("inf", "infinity")
         rho = None if inf else to_factor(args.rho, "rho")
-        line += f" rho={'inf' if rho is None else serialize.format_rational(rho)}"
+        line += f" rho={'inf' if rho is None else format_rational(rho)}"
         line += f" ok={str(report.is_approx(rho)).lower()}"
     print(line)
     if args.report:
@@ -107,7 +107,7 @@ def cmd_brute(args) -> int:
     game, _labels = serialize.read_instance(args.instance)
     state, phi = verify.brute_min_potential(game, budget=args.budget)
     print(
-        f"phi_star={serialize.format_rational(phi)} "
+        f"phi_star={format_rational(phi)} "
         f"state={','.join(str(c) for c in state.choices)}"
     )
     return EXIT_OK
@@ -182,7 +182,7 @@ def _bench_one(task: tuple[generators.GenSpec, solver.SolverConfig]) -> dict:
         "rho_star": report.rho_star_str(),
         "bound": bound_str,
         "ok": str(ok).lower(),
-        "move_bound": serialize.format_rational(
+        "move_bound": format_rational(
             solver.move_bound(params["n"], params["d"], params["psi"])
         ),
     }

@@ -41,7 +41,9 @@ The four input rules the modules share are spelled here once, each raising
 ValidationError: `to_integer` (an integer at or above a floor; 3.0 reads as
 3, while True, 2.5 and "3" are refused), `to_factor` (a rational >= 1),
 `CongestionGame.strategy` (player u's strategy i) and `digit_limit_error` (a
-value with more digits than `digit_limit`).
+value with more digits than `digit_limit`).  Exact text is spelled here once
+too: `format_rational` writes a `Value` as '5' or '-3/4' for every output
+file and every error message that quotes one, and refuses one past the limit.
 """
 
 from __future__ import annotations
@@ -84,16 +86,21 @@ def digit_limit_error(what: str) -> ValidationError:
     )
 
 
+def format_rational(x: Value) -> str:
+    """Exact text, '5' or '-3/4'; one past the `digit_limit` is refused."""
+    try:
+        return str(x if type(x) is int else Fraction(x))
+    except ValueError as exc:
+        raise digit_limit_error("a value") from exc
+
+
 def _quote(value) -> str:
-    """repr of `value`; a long string is cut to a prefix and its length."""
+    """Exact text of an int or Fraction, else repr; a long string is cut."""
+    if type(value) in (int, Fraction):
+        return format_rational(value)
     if isinstance(value, str) and len(value) > 40:
         return f"{value[:20]!r}... ({len(value)} characters)"
     return repr(value)
-
-
-def _rationals(values: Iterable[Value]) -> str:
-    """Exact rationals joined by commas: '-1, 1/2'."""
-    return ", ".join(map(str, values))
 
 
 def _check_exponent(text: str) -> None:
@@ -147,7 +154,7 @@ def to_factor(value: RationalLike, name: str) -> Fraction:
     """Coerce a factor, a rational >= 1 such as rho or q, to Fraction."""
     q = value if isinstance(value, Fraction) else to_fraction(value)
     if q.numerator < q.denominator:
-        raise ValidationError(f"{name} must be >= 1, got {q}")
+        raise ValidationError(f"{name} must be >= 1, got {_quote(q)}")
     return q
 
 
@@ -166,7 +173,7 @@ def to_integer(value, name: str, least: Optional[int] = None) -> int:
             raise ValidationError(f"{name} must be an integer, got {_quote(value)}")
         value = int(value)
     if least is not None and value < least:
-        raise ValidationError(f"{name} must be at least {least}, got {value}")
+        raise ValidationError(f"{name} must be at least {least}, got {_quote(value)}")
     return value
 
 
@@ -294,7 +301,7 @@ class CongestionGame:
                 if not f.has_nonnegative_coeffs:
                     raise ValidationError(
                         f"standard mode requires non-negative coefficients; "
-                        f"resource {e} has {_rationals(f.coeffs)}"
+                        f"resource {e} has {', '.join(map(format_rational, f.coeffs))}"
                     )
         else:
             n = self.n_players
@@ -307,14 +314,14 @@ class CongestionGame:
                 if any(type(c) is not int for c in f.coeffs):
                     raise ValidationError(
                         f"hardness mode requires integer latency values; "
-                        f"resource {e} has {_rationals(f.coeffs)}"
+                        f"resource {e} has {', '.join(map(format_rational, f.coeffs))}"
                     )
                 # An affine function is smallest at an end of [1, n].
                 for x in (1, max(n, 1)):
                     value = f.eval(x)
                     if value < 0:
                         raise ValidationError(
-                            f"resource {e} has negative latency {value} "
+                            f"resource {e} has negative latency {_quote(value)} "
                             f"at load {x}"
                         )
 

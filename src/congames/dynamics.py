@@ -33,12 +33,13 @@ from .core import (
     State,
     Value,
     as_value,
+    format_rational,
     to_factor,
     to_fraction,
     to_integer,
 )
 from .errors import ValidationError
-from .serialize import format_rational, json_text, write_json
+from .serialize import json_text, write_json
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ def epsilon_br_dynamics(
     """
     epsilon = to_fraction(epsilon)
     if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+        raise ValidationError(f"epsilon must be positive, got {format_rational(epsilon)}")
     move_cap = to_integer(move_cap, "move_cap", least=1)
     if game.mode != "standard":
         raise ValidationError("dynamics require a standard-mode game")

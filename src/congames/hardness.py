@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Container, Optional, Sequence, Union
 
@@ -49,6 +49,7 @@ from .core import (
     LatencyFunction,
     digit_limit,
     digit_limit_error,
+    format_rational,
     to_factor,
     to_integer,
 )
@@ -519,7 +520,7 @@ class GadgetParams:
         if not self.alpha < self.beta < self.gamma < self.big_m:
             raise ValidationError(
                 "scale ladder violated: need alpha < beta < gamma < M, got "
-                f"{self.alpha}, {self.beta}, {self.gamma}, {self.big_m}"
+                + ", ".join(map(format_rational, astuple(self)))
             )
 
     @property

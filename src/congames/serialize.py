@@ -9,39 +9,26 @@ Instance schema::
       "labels": {...}            # optional, attached by gadget builders
     }
 
-Rationals are written as canonical "p/q" (or bare integer) strings and are
-accepted back as "p/q" strings, decimal strings, or plain JSON integers.
-Round trips are bit exact: `core.to_fraction(format_rational(x)) == x` for
-every Fraction x.
+Rationals are written as canonical "p/q" (or bare integer) strings by
+`core.format_rational`, the one route from a value to text, and are accepted
+back as "p/q" strings, decimal strings, or plain JSON integers.  Round trips
+are bit exact: `core.to_fraction(format_rational(x)) == x` for every
+Fraction x.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, IO, Optional
 
 from .core import (
     CongestionGame,
     LatencyFunction,
-    Value,
     digit_limit_error,
+    format_rational,
     to_integer,
 )
 from .errors import ValidationError
-
-
-def format_rational(x: Value) -> str:
-    """Canonical exact string: '5', '-3/4', '17/16'.
-
-    An int is printed as it is, anything else through `Fraction`.  A
-    numerator or denominator longer than the `core.digit_limit` raises
-    ValidationError.
-    """
-    try:
-        return str(x if type(x) is int else Fraction(x))
-    except ValueError as exc:
-        raise digit_limit_error("a value") from exc
 
 
 def game_to_dict(game: CongestionGame, labels: Optional[dict] = None) -> dict:
@@ -135,7 +122,7 @@ def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fp:
         try:
             return json.load(fp)
-        except ValueError as exc:  # bad syntax, bad UTF-8, too many digits
+        except (ValueError, RecursionError) as exc:  # bad text, or nested too deep
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -29,10 +29,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .core import CongestionGame, State, Value, to_fraction, to_integer
+from .core import CongestionGame, State, Value, format_rational, to_fraction, to_integer
 from .dynamics import RunTrace, Walk, optimistic_cost
 from .errors import ContractViolationError, ParameterError, ValidationError
-from .serialize import format_rational
 
 SCHEDULERS = ("scan", "random")
 
@@ -63,7 +62,7 @@ class SolverConfig:
             override = to_fraction(self.theta_override)
             if override <= 1:
                 raise ValidationError(
-                    f"theta override must exceed 1, got {override}"
+                    f"theta override must exceed 1, got {format_rational(override)}"
                 )
             object.__setattr__(self, "theta_override", override)
         if self.scheduler not in SCHEDULERS:
@@ -87,7 +86,9 @@ def theta(d: int, q: Fraction) -> Fraction:
     q = to_fraction(q)
     if d <= 1:
         if not (1 <= q < 2):
-            raise ParameterError(f"linear ratio bound needs 1 <= q < 2, got {q}")
+            raise ParameterError(
+                f"linear ratio bound needs 1 <= q < 2, got {format_rational(q)}"
+            )
         return 2 * q / (2 - q)
     raise ParameterError(
         f"degree {d} >= 2 requires an explicit theta override: no concrete "
@@ -114,8 +115,9 @@ def parameters(
     denom = 1 / th - eps
     if denom <= 0:
         raise ParameterError(
-            f"instance too small for psi={config.psi}: 1/theta = {1 / th} "
-            f"does not exceed n^-psi = {eps}"
+            f"instance too small for psi={config.psi}: 1/theta = "
+            f"{format_rational(1 / th)} does not exceed n^-psi = "
+            f"{format_rational(eps)}"
         )
     return q, 1 / denom, th
 

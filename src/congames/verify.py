@@ -43,12 +43,13 @@ from .core import (
     SubgameView,
     Value,
     aggregate_metrics,
+    format_rational,
     to_factor,
     to_integer,
 )
 from .dynamics import epsilon_br_dynamics
 from .errors import BudgetExceededError, ValidationError
-from .serialize import format_rational, game_to_dict
+from .serialize import game_to_dict
 from .solver import theta
 
 DEFAULT_ENUM_BUDGET = 1 << 20
@@ -65,9 +66,8 @@ def _require_budget(game: CongestionGame, budget: Optional[int]) -> None:
     limit = DEFAULT_ENUM_BUDGET if budget is None else to_integer(budget, "budget", 1)
     size = state_space_size(game)
     if size > limit:
-        raise BudgetExceededError(
-            f"state space has {size} states, budget is {limit}"
-        )
+        # The size is not printed: it may have more digits than the limit.
+        raise BudgetExceededError(f"state space exceeds the budget of {limit} states")
 
 
 def _ratio_str(ratio: Optional[Fraction]) -> str:

@@ -331,6 +331,36 @@ class TestEmptyAndOversizedInput:
         assert "more than 4300 digits" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_hardness_latency_beyond_digit_limit_in_message(self, tmp_path, capsys):
+        # f(x) = 10^4300 - 1 - 10^4299 x is negative at load 100, with 4301 digits
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "mode": "hardness",
+            "resources": [{"coeffs": ["9" * 4300, "-1" + "0" * 4299]}],
+            "players": [{"strategies": [[0]]}] * 100,
+        }))
+        assert run(["brute", str(path)]) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    def test_theta_beyond_digit_limit_in_message(self, tmp_path, capsys):
+        path, trace = tmp_path / "d2.json", tmp_path / "t.json"
+        assert run(["gen", "--seed", "1", "--n", "8", "--resources", "6",
+                    "--d", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["solve", str(path), "--theta", "1e4300", "--trace", str(trace)]
+        assert run(argv) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_state_space_beyond_digit_limit(self, tmp_path, capsys):
+        # 2^15000 states: a budget refusal whose size has 4516 digits
+        path = self.write_doc(tmp_path, [["1"]], [[[0], [0]]] * 15000)
+        assert run(["brute", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("budget refused: ")
+        assert run(["audit", str(path), "--trials", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["potential_ratio"]["skipped"] == 1
+
     def test_bench_move_bound_beyond_digit_limit(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         argv = ["bench", "--n-list", "4", "--seeds", "1", "--psi", "2000",

@@ -2,7 +2,8 @@
 
 Each document example starts from a valid circuit, instance or state document and
 mutates it: a value anywhere in the tree is replaced by a JSON leaf or a key
-or list entry is deleted; or the file holds arbitrary text or bytes instead.  Each
+or list entry is deleted, and the result may be wrapped in lists nested past the
+parser's recursion limit; or the file holds arbitrary text or bytes instead.  Each
 flag example runs one command with drawn values for some of its numeric flags
 (`--psi`, `--budget`, `--rho`, ...).  The exit code must be one of the documented ones (0, 2, 3, 4); an uncaught exception
 fails the test.
@@ -76,14 +77,20 @@ def _mutate(doc, data):
     return doc
 
 
+# Lists nested deeper than the JSON parser's recursion limit, on any Python.
+NESTING = 200_000
+
+
 def _document(base, data) -> bytes:
-    """A mutated `base` as UTF-8 JSON, or arbitrary text or bytes."""
-    kind = data.draw(st.integers(0, 9))
+    """A mutated `base` as UTF-8 JSON, maybe nested past the parser's
+    recursion limit, or arbitrary text or bytes."""
+    kind = data.draw(st.integers(0, 10))
     if kind == 0:
         return data.draw(st.text(max_size=20)).encode("utf-8")
     if kind == 1:
         return data.draw(st.binary(max_size=20))
-    return json.dumps(_mutate(base, data)).encode("utf-8")
+    text = json.dumps(_mutate(base, data)).encode("utf-8")
+    return b"[" * NESTING + text + b"]" * NESTING if kind == 2 else text
 
 
 def _run(files: dict, argv: list) -> int:

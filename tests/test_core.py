@@ -28,9 +28,12 @@ from congames import (
     generate,
     load_profile,
     positivize,
+    theta,
 )
+from congames.core import to_factor, to_integer
 
 M2 = 2**40  # stands in for a squared big constant in hardness-style pairs
+HUGE = 10**5000  # more digits than Python's 4300-digit limit on integer text
 
 
 def shared_resource_game():
@@ -460,6 +463,36 @@ class TestInputRules:
     def test_bad_value_is_validation_error(self, message, call):
         with pytest.raises(ValidationError, match=message):
             call()
+
+    # Each message quotes a value past the digit limit, which is refused like
+    # any other over-limit value.
+    PAST_LIMIT = {
+        "standard-negative-coefficient":
+            lambda: CongestionGame([[-HUGE, 1]], [[[0]]]),
+        "hardness-negative-latency":
+            lambda: CongestionGame([[-HUGE, 1]], [[[0]]], mode="hardness"),
+        "hardness-fraction-coefficient":
+            lambda: CongestionGame([[F(1, HUGE), 1]], [[[0]]], mode="hardness"),
+        "to_integer-below-least": lambda: to_integer(-HUGE, "x", least=0),
+        "to_integer-fraction": lambda: to_integer(F(HUGE, 3), "x"),
+        "to_factor": lambda: to_factor(F(1, HUGE), "rho"),
+        "SolverConfig-theta_override":
+            lambda: SolverConfig(theta_override=F(1, HUGE)),
+        "theta-q": lambda: theta(1, F(HUGE)),
+        "GadgetParams-ladder": lambda: GadgetParams(2, HUGE, 3, 4),
+        "epsilon_br_dynamics-epsilon": lambda g=two_resource_game():
+            epsilon_br_dynamics(g, g.state([0, 0]), -F(1, HUGE)),
+    }
+
+    @pytest.mark.parametrize("call", PAST_LIMIT.values(), ids=PAST_LIMIT)
+    def test_value_past_digit_limit_in_message(self, call):
+        with pytest.raises(ValidationError, match="over the 4300-digit limit"):
+            call()
+
+    @pytest.mark.parametrize("value, text", [(F(5, 2), "5/2"), (True, "True")])
+    def test_to_integer_quotes_exact_text(self, value, text):
+        with pytest.raises(ValidationError, match=f"^x must be an integer, got {text}$"):
+            to_integer(value, "x")
 
     def test_integral_float_accepted_as_int(self):
         params = GadgetParams.for_bundle(self.bundle(), alpha=3.0)

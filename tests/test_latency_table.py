@@ -21,6 +21,7 @@ from congames import (
     load_profile,
     solve,
 )
+from trace_check import check_trace
 
 thousand_bits = st.integers(-(2**1000), 2**1000)
 small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -202,35 +203,25 @@ def walk_games(draw):
     return game, game.state(choices)
 
 
-def check_against_reference(game, trace):
-    """Every recorded cost and potential equals the Fraction reference.
+def assert_integral_records(game, trace):
+    """An integral game records its costs and potentials as ints.
 
-    The walk updates its potential by table sums; `player_cost` and
-    `potential` recompute each value from the state.  An integral game
-    records ints.
+    `check_trace` compares every recorded value with the `Fraction`
+    reference, which equal ints match, so only the type is checked here.
     """
-    integral = all(type(v) is int for col in game.latency_table for v in col)
-    state = game.state(trace.initial_state)
-    for m in trace.moves:
-        u = m.player
-        assert (m.cost_before, m.potential_before) == (
-            game.player_cost(state, u), game.potential(state)
-        )
-        state = state.apply(game, u, m.to_strategy)
-        assert (m.cost_after, m.potential_after) == (
-            game.player_cost(state, u), game.potential(state)
-        )
-        values = (m.cost_before, m.cost_after, m.potential_before, m.potential_after)
-        assert not integral or all(type(v) is int for v in values)
-    assert state.choices == tuple(trace.final_state)
-    assert trace.final_potential == game.potential(state)
+    if all(type(v) is int for col in game.latency_table for v in col):
+        for m in trace.moves:
+            values = (m.cost_before, m.cost_after, m.potential_before, m.potential_after)
+            assert all(type(v) is int for v in values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(walk_games(), st.sampled_from([Fraction(1, 100), Fraction(1, 3), Fraction(2)]))
 def test_dynamics_records_match_reference(case, epsilon):
     game, state = case
-    check_against_reference(game, epsilon_br_dynamics(game, state, epsilon))
+    trace = epsilon_br_dynamics(game, state, epsilon)
+    assert check_trace(game, trace, 1 + epsilon) == []
+    assert_integral_records(game, trace)
 
 
 @st.composite
@@ -260,4 +251,6 @@ def crowded_games(draw):
 @given(crowded_games())
 def test_solve_records_match_reference(game):
     config = SolverConfig(theta_override=Fraction(3) if game.degree > 1 else None)
-    check_against_reference(game, solve(game, config))
+    trace = solve(game, config)
+    assert check_trace(game, trace) == []
+    assert_integral_records(game, trace)
