@@ -230,7 +230,7 @@ class LatencyFunction:
         unless it reduces to an integer.
         """
         if not isinstance(load, int) or load < 1:
-            raise ValidationError(f"latency evaluated at invalid load {load!r}")
+            raise ValidationError(f"latency evaluated at invalid load {_quote(load)}")
         nums, den = self._horner
         total = 0
         for a in nums:

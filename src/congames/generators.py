@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import CongestionGame, LatencyFunction, to_integer
+from .core import CongestionGame, LatencyFunction, format_rational, to_integer
 from .errors import GenerationError, ValidationError
 
 _RETRY_CAP = 200
@@ -40,14 +40,20 @@ class GenSpec:
         clo, chi = (to_integer(v, "coeff_range", 0) for v in self.coeff_range)
         object.__setattr__(self, "strategy_size", (lo, hi))
         object.__setattr__(self, "coeff_range", (clo, chi))
+        # format_rational refuses a value past the digit limit.
         if hi < lo:
-            raise ValidationError(f"bad strategy size range {self.strategy_size}")
+            raise ValidationError(
+                f"bad strategy size range ({format_rational(lo)}, {format_rational(hi)})"
+            )
         if hi > self.n_resources:
             raise ValidationError(
-                f"strategy size {hi} exceeds resource count {self.n_resources}"
+                f"strategy size {format_rational(hi)} exceeds resource count "
+                f"{format_rational(self.n_resources)}"
             )
         if chi < clo:
-            raise ValidationError(f"bad coefficient range {self.coeff_range}")
+            raise ValidationError(
+                f"bad coefficient range ({format_rational(clo)}, {format_rational(chi)})"
+            )
 
 
 def _draw_strategies(spec: GenSpec, rng: random.Random) -> tuple[tuple[int, ...], ...]:

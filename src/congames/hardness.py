@@ -38,6 +38,7 @@ f(1)=a and f(2)=b, realized as the affine function (b-a)x + 2a - b.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import astuple, dataclass, field
@@ -465,6 +466,15 @@ def _derive_comparison(
 # Gadget parameters
 
 
+@functools.lru_cache(maxsize=1)
+def _ceiling(limit: int) -> int:
+    """10**limit, the least int with more than `limit` digits; 0 for no limit.
+
+    Keyed by the limit, which `sys.set_int_max_str_digits` can change.
+    """
+    return 10**limit if limit else 0
+
+
 @dataclass(frozen=True)
 class GadgetParams:
     """Scale ladder for the gadget latencies: alpha << beta << gamma << M.
@@ -492,7 +502,10 @@ class GadgetParams:
         is also alpha's default.  A ladder whose largest value M^5 has more
         digits than the `core.digit_limit` cannot be written and raises
         ValidationError; one far over the limit is refused before any of it
-        is built.
+        is built.  Both refusals compare exact ints against the ceiling
+        10**limit, which `_ceiling` builds once per limit value, so the two
+        calls a flip build makes (the caller's and `build_flip_game`'s
+        check) do not pay for it again.
         """
         rho = to_factor(rho, "rho")
         floor = max(2, -(-rho.numerator // rho.denominator))  # ceil(rho)
@@ -505,14 +518,13 @@ class GadgetParams:
         # and is cheap to build and compare exactly.
         twos, power = m + 1, 6 + (2 * k_total + 2) * (m + 1)
         limit, largest = digit_limit(), "the game's largest value, M^5"
-        if limit and 5 * (twos + power * (alpha.bit_length() - 1)) >= (
-            10**limit
-        ).bit_length():
+        ceiling = _ceiling(limit)
+        if ceiling and 5 * (twos + power * (alpha.bit_length() - 1)) >= ceiling.bit_length():
             raise digit_limit_error(largest)
         beta = alpha ** (2 * k_total + 1)
         gamma = 2 * alpha * beta
         params = cls(alpha, beta, gamma, 2**twos * alpha**power)
-        if limit and params.largest_value >= 10**limit:
+        if ceiling and params.largest_value >= ceiling:
             raise digit_limit_error(largest)
         return params
 
@@ -588,6 +600,8 @@ def build_flip_game(
         )
     n, m = bundle.n_inputs, bundle.n_outputs
     alpha, beta, gamma, M = params.alpha, params.beta, params.gamma, params.big_m
+    # The powers of M, once per build: resources ask for them thousands of times.
+    M2, M3, M4, M5 = M**2, M**3, M**4, params.largest_value
 
     # Global gate ids: main circuit first, then comparisons in key order;
     # the circuit under `key` holds the gates in gate_ids[key], and gates[k]
@@ -634,10 +648,10 @@ def build_flip_game(
         )
 
     def lock_copy(value: int, slot: str, k: int, owner: str) -> int:
-        return asm.resource(f"Lock{value}{slot}_{k + 1}({owner})", 0, M**3)
+        return asm.resource(f"Lock{value}{slot}_{k + 1}({owner})", 0, M3)
 
     def lock_gate(k: int, owner: str) -> int:
-        pair = M**2 if owner == "Controller" else M
+        pair = M2 if owner == "Controller" else M
         return asm.resource(f"LockGate_{k + 1}({owner})", 0, pair)
 
     def trigger_lock(k: int, owner: str) -> int:
@@ -658,14 +672,14 @@ def build_flip_game(
     def block_s(key: CompKey, y_owner: int) -> int:
         j, i, b = key
         return asm.resource(
-            f"BlockS[{j + 1},{i + 1},{b}](Y_{y_owner + 1})", 0, M**2
+            f"BlockS[{j + 1},{i + 1},{b}](Y_{y_owner + 1})", 0, M2
         )
 
     def block_s0(j: int) -> int:
-        return asm.resource(f"BlockS_0(Y_{j + 1})", 0, M**2)
+        return asm.resource(f"BlockS_0(Y_{j + 1})", 0, M2)
 
     def block_y(j: int) -> int:
-        return asm.resource(f"BlockY_{j + 1}", 0, M**2)
+        return asm.resource(f"BlockY_{j + 1}", 0, M2)
 
     def trigger_controller(j: int) -> int:
         return asm.resource(f"TriggerController(Y_{j + 1})", 1, beta**2)
@@ -676,17 +690,17 @@ def build_flip_game(
         )
 
     def trigger_done_y(j: int, y_owner: int) -> int:
-        return asm.resource(f"TriggerDoneY_{j + 1}(Y_{y_owner + 1})", 0, M**4)
+        return asm.resource(f"TriggerDoneY_{j + 1}(Y_{y_owner + 1})", 0, M4)
 
     def reset_done_y(j: int) -> int:
-        return asm.resource(f"ResetDoneY_{j + 1}", 0, params.largest_value)
+        return asm.resource(f"ResetDoneY_{j + 1}", 0, M5)
 
     def trigger_x(i: int, value: int, y_owner: int) -> int:
         name = f"TriggerX_{i + 1},{value}(Y_{y_owner + 1})"
         return asm.resource(name, 0, alpha * beta)
 
     def block_x(i: int, value: int, y_owner: int) -> int:
-        return asm.resource(f"BlockX_{i + 1},{value}(Y_{y_owner + 1})", 0, M**4)
+        return asm.resource(f"BlockX_{i + 1},{value}(Y_{y_owner + 1})", 0, M4)
 
     def trigger_y_listen(j: int) -> list[int]:
         # All copies of Y_j's go-to-One channel: one per shouting source.

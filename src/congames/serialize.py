@@ -32,12 +32,19 @@ from .errors import ValidationError
 
 
 def game_to_dict(game: CongestionGame, labels: Optional[dict] = None) -> dict:
+    """The instance document of `game`, with `labels` when they are given.
+
+    Each distinct function object's coefficients are formatted once: a built
+    flip game has hundreds of resources but a few dozen functions.  Every
+    resource entry is still its own dict and list.
+    """
+    texts: dict[int, list[str]] = {}
+    for f in game.resources:
+        if id(f) not in texts:
+            texts[id(f)] = [format_rational(c) for c in f.coeffs]
     doc: dict[str, Any] = {
         "mode": game.mode,
-        "resources": [
-            {"coeffs": [format_rational(c) for c in f.coeffs]}
-            for f in game.resources
-        ],
+        "resources": [{"coeffs": list(texts[id(f)])} for f in game.resources],
         "players": [
             {"strategies": [list(strat) for strat in strats]}
             for strats in game.players

@@ -12,10 +12,12 @@ searches in exact integer (or Fraction) arithmetic:
   has a forbidden improving move in every completion of it; its docstring
   says when a player is tested.  Its state is one integer, the code, with a
   bit field per resource load and per player choice.  Each test is built
-  once, by `_tests`, and keeps its verdicts keyed by the code under its
-  mask, the fields it reads.  It reads the tested player's resources at
-  the other players' loads, so her cost and every deviation to a strategy
-  share one read list; `_tests` states the layout and the key rule.
+  once, by `_tests`, from rows made once per player (a read per resource
+  and a cost bound per resource that is open at some test), and keeps its
+  verdicts keyed by the code under its mask, the fields it reads.  It
+  reads the tested player's resources at the other players' loads, so her
+  cost and every deviation to a strategy share one read list; `_tests`
+  states the layout and the key rule.
   Players are placed by maximum cardinality search over the graph of
   players who share a resource: each next player shares one with the most
   players already placed, so their resources close and their tests fire
@@ -64,10 +66,15 @@ def state_space_size(game: CongestionGame) -> int:
 
 def _require_budget(game: CongestionGame, budget: Optional[int]) -> None:
     limit = DEFAULT_ENUM_BUDGET if budget is None else to_integer(budget, "budget", 1)
-    size = state_space_size(game)
-    if size > limit:
-        # The size is not printed: it may have more digits than the limit.
-        raise BudgetExceededError(f"state space exceeds the budget of {limit} states")
+    if state_space_size(game) > limit:
+        # The size is not printed, nor a budget past the digit limit: either
+        # may have more digits than the limit, and the refusal stays a
+        # BudgetExceededError.
+        try:
+            of_budget = f" of {format_rational(limit)} states"
+        except ValidationError:
+            of_budget = ""
+        raise BudgetExceededError(f"state space exceeds the budget{of_budget}")
 
 
 def _ratio_str(ratio: Optional[Fraction]) -> str:
@@ -359,11 +366,17 @@ def _tests(
     (steps[u][c], low, reads[c], deviations):
 
     * reads[a] holds a (shift, mask, joined[e]) read per closed resource e
-      of strategy a;
+      of strategy a, one tuple per resource across all her tests;
     * deviations holds (high, reads[a]) for each a != c, in strategy order;
     * low and high sum the smaller and the larger of f(1) and f(2) over
       strategy c's or a's open resources: a lower bound on her cost and an
       upper bound on a deviation's.
+
+    Her rows are made once per player: each resource's read, and the
+    (min, max) of f(1), f(2) of each resource open at some test.  A test
+    then walks each strategy once: an open resource adds its pair to low
+    and high, a closed one appends its read.  The mask holds her choice
+    field and the fields of her closed resources.
 
     Others-load rule: the search takes her step out of the code and reads
     each field there, at the other players' load k on e.  joined[e][k] is
@@ -382,14 +395,24 @@ def _tests(
     mine = {e for s in strats for e in s}
     choice = bits[game.n_resources + u]
     start = max([placed] + [last[e] for e in mine if len(users[e]) > 2])
+    rows = {e: (*bits[e], joined[e]) for e in mine}
+    bounds = {e: (min(table[e][1:3]), max(table[e][1:3])) for e in mine if last[e] > start}
     for t in sorted({start} | {last[e] for e in mine if last[e] > start}):
         opened = {e for e in mine if last[e] > t}
-        lows = [sum(min(table[e][1], table[e][2]) for e in s if e in opened) for s in strats]
-        highs = [sum(max(table[e][1], table[e][2]) for e in s if e in opened) for s in strats]
-        reads = [[(*bits[e], joined[e]) for e in s if e not in opened] for s in strats]
-        deviations = list(zip(highs, reads))
+        lows, deviations = [], []
+        for s in strats:
+            low = high = 0
+            reads = []
+            for e in s:
+                if e in opened:
+                    low += bounds[e][0]
+                    high += bounds[e][1]
+                else:
+                    reads.append(rows[e])
+            lows.append(low)
+            deviations.append((high, reads))
         per_choice = [
-            (steps[u][c], lows[c], reads[c], deviations[:c] + deviations[c + 1 :])
+            (steps[u][c], lows[c], deviations[c][1], deviations[:c] + deviations[c + 1 :])
             for c in range(len(strats))
         ]
         mask = sum(m << shift for shift, m in [choice] + [bits[e] for e in mine - opened])

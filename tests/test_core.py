@@ -482,6 +482,12 @@ class TestInputRules:
         "GadgetParams-ladder": lambda: GadgetParams(2, HUGE, 3, 4),
         "epsilon_br_dynamics-epsilon": lambda g=two_resource_game():
             epsilon_br_dynamics(g, g.state([0, 0]), -F(1, HUGE)),
+        "GenSpec-strategy_size-range":
+            lambda: GenSpec(0, 2, 3, 2, strategy_size=(HUGE, 1)),
+        "GenSpec-strategy_size-resources":
+            lambda: GenSpec(0, 2, 3, 2, strategy_size=(1, HUGE)),
+        "GenSpec-coeff_range": lambda: GenSpec(0, 2, 3, 2, coeff_range=(HUGE, 0)),
+        "LatencyFunction-eval-load": lambda: LatencyFunction([1]).eval(-HUGE),
     }
 
     @pytest.mark.parametrize("call", PAST_LIMIT.values(), ids=PAST_LIMIT)

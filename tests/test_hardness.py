@@ -1,5 +1,6 @@
 """Flip local search and the circuit-to-game gadget construction."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -224,6 +225,43 @@ class TestGadgetParams:
             sys.set_int_max_str_digits(limit)
 
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit"
+    )
+    def test_cached_ceiling_follows_the_limit(self):
+        bundle = derive_subcircuits(NAND_XY)
+        k, m = bundle.total_gates(), bundle.n_outputs
+
+        def largest(alpha):  # M^5, from the ladder's definition
+            gamma = 2 * alpha * alpha ** (2 * k + 1)
+            return (alpha**6 * gamma ** (m + 1)) ** 5
+
+        def first_over(digits):  # the smallest alpha whose M^5 has more digits
+            lo, hi = 2, 4
+            while largest(hi) < 10**digits:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if largest(mid) >= 10**digits else (mid, hi)
+            return hi
+
+        default = sys.get_int_max_str_digits()
+        try:
+            # each step's boundary is accepted or refused the other way by the
+            # step before it; with no limit, the default's boundary is accepted
+            for limit, digits in ((640, 640), (default, default), (640, 640), (0, default)):
+                sys.set_int_max_str_digits(limit)
+                alpha = first_over(digits)
+                GadgetParams.for_bundle(bundle, alpha=alpha - 1)
+                if limit:
+                    with pytest.raises(ValidationError, match=f"more than {limit} digits"):
+                        GadgetParams.for_bundle(bundle, alpha=alpha)
+                else:
+                    GadgetParams.for_bundle(bundle, alpha=alpha)
+        finally:
+            sys.set_int_max_str_digits(default)
+
+
 class TestDeriveSubcircuits:
     def test_guards_appended_with_restricted_variants(self):
         bundle = derive_subcircuits(NOT_X)
@@ -412,6 +450,10 @@ class TestBuildFlipGame:
             params = GadgetParams.for_bundle(derive_subcircuits(sized_for))
             with pytest.raises(ValidationError):
                 build_flip_game(bundle, params)
+        # so is a ladder with the bundle's alpha but another M
+        params = GadgetParams.for_bundle(bundle)
+        with pytest.raises(ValidationError, match="not sized for this bundle"):
+            build_flip_game(bundle, dataclasses.replace(params, big_m=2 * params.big_m))
 
     def test_hardness_mode_and_integer_values(self):
         _, _, game, _ = build(NAND_XY)

@@ -5,9 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from congames import CongestionGame, ValidationError
+from congames import CongestionGame, GadgetParams, LatencyFunction, ValidationError
 from congames.core import to_fraction
-from congames.hardness import read_flip_instance
+from congames.hardness import (
+    FlipInstance,
+    build_flip_game,
+    derive_subcircuits,
+    read_flip_instance,
+)
 from congames.serialize import (
     format_rational,
     game_from_dict,
@@ -169,6 +174,28 @@ def test_game_to_dict_uses_strings():
     game = CongestionGame([[F(1, 3)]], [[[0]]])
     doc = game_to_dict(game)
     assert doc["resources"][0]["coeffs"] == ["1/3"]
+
+
+def test_game_to_dict_on_shared_functions():
+    f = LatencyFunction([F(1, 3), 2])
+    game = CongestionGame([f, [5], f, f], [[[0, 1], [2, 3]]])
+    doc = game_to_dict(game)
+    texts = [["1/3", "2"], ["5"], ["1/3", "2"], ["1/3", "2"]]
+    assert [r["coeffs"] for r in doc["resources"]] == texts
+    # each entry is its own list: editing one leaves the others that share f
+    doc["resources"][0]["coeffs"].append("7")
+    doc["resources"][2]["coeffs"][0] = "9"
+    texts[0], texts[2] = ["1/3", "2", "7"], ["9", "2"]
+    assert [r["coeffs"] for r in doc["resources"]] == texts
+    # a flip game, hundreds of resources over a few dozen functions, reads
+    # as when every resource was formatted on its own
+    and_xy = FlipInstance(2, [(("x", 0), ("x", 1)), (("g", 0), ("g", 0))], [1])
+    bundle = derive_subcircuits(and_xy)
+    game, _ = build_flip_game(bundle, GadgetParams.for_bundle(bundle))
+    assert len({id(f) for f in game.resources}) < game.n_resources
+    assert game_to_dict(game)["resources"] == [
+        {"coeffs": [format_rational(c) for c in f.coeffs]} for f in game.resources
+    ]
 
 
 def test_state_file_round_trip(tmp_path):

@@ -184,6 +184,12 @@ class TestBruteMinPotential:
         with pytest.raises(BudgetExceededError):
             brute_min_potential(g, budget=state_space_size(g) - 1)
 
+    def test_budget_past_digit_limit_is_still_a_budget_refusal(self):
+        # 2^16000 states, over a budget of 4401 digits: neither is printed
+        g = CongestionGame([[1]], [[[0], [0]]] * 16000)
+        with pytest.raises(BudgetExceededError, match="^state space exceeds the budget$"):
+            brute_min_potential(g, budget=10**4400)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
         g = random_game(0)
@@ -467,6 +473,21 @@ class TestEnumerationTestDepths:
                         assert reads is per_choice[a][2]
                 for _, _, reads, _ in per_choice:
                     assert all(column is joined[s] for s, _, column in reads)
+                # an open resource adds the min of f(1), f(2) to her cost's
+                # bound and the max to a deviation's
+                table = game.latency_table
+                lows = [sum(min(table[e][1:3]) for e in s if e in o) for s in strats]
+                highs = [sum(max(table[e][1:3]) for e in s if e in o) for s in strats]
+                assert [low for _, low, _, _ in per_choice] == lows
+                for c, (_, _, _, deviations) in enumerate(per_choice):
+                    assert [high for high, _ in deviations] == highs[:c] + highs[c + 1 :]
+            # each resource's read is one tuple across all her tests and strategies
+            read_ids = {}
+            for _, _, (_, _, (_, _, per_choice)) in tests:
+                for _, _, reads, _ in per_choice:
+                    for read in reads:
+                        read_ids.setdefault(read[0], set()).add(id(read))
+            assert all(len(ids) == 1 for ids in read_ids.values())
 
 
 class TestSearchOrder:
