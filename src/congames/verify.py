@@ -5,26 +5,32 @@ is ever sampled.  Ratio conventions make the report total even with
 zero-latency resources: 0/0 counts as 1 and positive/0 as infinity.
 
 The enumeration oracles refuse instances whose state space exceeds the
-configured budget instead of falling back to sampling.  Both are depth-first
-searches in exact integer (or Fraction) arithmetic:
+configured budget instead of falling back to sampling.  Both search in exact
+integer (or Fraction) arithmetic over one packed code per state, laid out
+by `_layout`: a bit field per resource load and per player choice, so
+placing a player adds a precomputed step and nothing is undone.
 
-* `enumerate_equilibria` discards a branch as soon as some placed player
-  has a forbidden improving move in every completion of it; its docstring
-  says when a player is tested.  Its state is one integer, the code, with a
-  bit field per resource load and per player choice.  Each test is built
-  once, by `_tests`, from rows made once per player (a read per resource
-  and a cost bound per resource that is open at some test), and keeps its
-  verdicts keyed by the code under its mask, the fields it reads.  It
-  reads the tested player's resources at the other players' loads, so her
-  cost and every deviation to a strategy share one read list; `_tests`
-  states the layout and the key rule.
+* `enumerate_equilibria` descends over batches of sibling codes: each depth
+  extends every code of its batch by the next player's steps, runs that
+  depth's checks over the extended batch, and recurses on the survivors in
+  slices of at most `_BATCH` codes, which bounds its memory to depth times
+  `_BATCH` codes.  A code is dropped as soon as some placed player has a
+  forbidden improving move in every completion of it; its docstring says
+  when a player is tested.  Each test is built once, by `_tests`, from rows
+  made once per player (a read per resource and a cost bound per resource
+  that is open at some test), and keeps its verdicts keyed by the code
+  under its mask, the fields it reads.  It reads the tested player's
+  resources at the other players' loads, so her cost and every deviation
+  to a strategy share one read list; `_tests` states the layout and the
+  key rule.
   Players are placed by maximum cardinality search over the graph of
   players who share a resource: each next player shares one with the most
   players already placed, so their resources close and their tests fire
   early.  The caller's order only sets the start and breaks ties.
-* `brute_min_potential` is a branch and bound: a branch is cut once its
-  partial potential plus a floor on what the players still to place add
-  reaches the best leaf found.
+* `brute_min_potential` is a depth-first branch and bound, so its best leaf
+  tightens as it goes: a child reads its resources' loads from the code,
+  and a branch is cut once its partial potential plus a floor on what the
+  players still to place add reaches the best leaf found.
 
 The pruning is exact, so the results equal the naive product scans (the test
 suite cross-checks them against `naive_state_scan`, which stays the
@@ -55,6 +61,11 @@ from .serialize import game_to_dict
 from .solver import theta
 
 DEFAULT_ENUM_BUDGET = 1 << 20
+
+# The most sibling codes `enumerate_equilibria` extends in one step.  The
+# search holds about depth times this many codes at once; larger batches
+# were barely faster on small dense games and raised their peak memory.
+_BATCH = 64
 
 
 def state_space_size(game: CongestionGame) -> int:
@@ -143,10 +154,14 @@ def brute_min_potential(
 ) -> tuple[State, Fraction]:
     """Exhaustive global potential minimum; lexicographically smallest argmin.
 
-    Branch and bound: each player still to place adds at least her floor,
-    the least over her strategies of the sum of their resources' smallest
-    latencies at loads 1 and up, so a branch whose partial potential plus
-    those floors already reaches the best leaf cannot end strictly below it.
+    A depth-first branch and bound over the packed code of `_layout`: a
+    child is the code plus the strategy's step, and it adds f_e(k + 1) for
+    each resource e of the strategy, k being e's load field in the parent's
+    code.  Nothing is undone on return, and the best leaf's fields give the
+    State.  Each player still to place adds at least her floor, the least
+    over her strategies of the sum of their resources' smallest latencies
+    at loads 1 and up, so a branch whose partial potential plus those
+    floors already reaches the best leaf cannot end strictly below it.
     Strategies are tried in index order, so the first leaf at the minimum is
     the lexicographically smallest argmin.
     """
@@ -155,32 +170,64 @@ def brute_min_potential(
     table = game.latency_table
     floors = [min(sum(min(table[e][1:]) for e in s) for s in strats) for strats in game.players]
     rest = list(itertools.accumulate(reversed(floors), initial=0))[::-1]  # rest[u] = sum(floors[u:])
-    loads = [0] * game.n_resources
-    choices = [0] * n
+    bits, steps = _layout(game)
+    # moves[u][c]: (step, reads) of u's strategy c, a (shift, mask, table[e][1:])
+    # read per resource e
+    moves = [
+        [(step, [(*bits[e], table[e][1:]) for e in s]) for step, s in zip(steps[u], strats)]
+        for u, strats in enumerate(game.players)
+    ]
     best: Optional[Value] = None
-    best_choices: Optional[tuple[int, ...]] = None
+    best_code = 0
 
-    def descend(u: int, phi: Value) -> None:
-        nonlocal best, best_choices
+    def descend(u: int, code: int, phi: Value) -> None:
+        nonlocal best, best_code
         if u == n:  # the bound let only a leaf strictly below the best through
-            best = phi
-            best_choices = tuple(choices)
+            best, best_code = phi, code
             return
-        for idx, strat in enumerate(game.players[u]):
-            choices[u] = idx
+        for step, reads in moves[u]:
             total = phi
-            for e in strat:
-                loads[e] += 1
-                total += table[e][loads[e]]
+            for s, m, column in reads:
+                total += column[(code >> s) & m]
             if best is None or total + rest[u + 1] < best:
-                descend(u + 1, total)
-            for e in strat:
-                loads[e] -= 1
+                descend(u + 1, code + step, total)
 
-    descend(0, 0)
+    descend(0, 0, 0)
     del descend  # the recursive closure is a reference cycle
-    assert best is not None and best_choices is not None
-    return State.of(game, best_choices), Fraction(best)
+    assert best is not None
+    return _leaf_state(best_code, bits, game.n_resources), Fraction(best)
+
+
+def _layout(game: CongestionGame) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The packed code both exact searches step over: (bits, steps).
+
+    The code holds a bit field per resource, wide enough for its user
+    count, with its load, then a field per player with her choice.  bits[i]
+    is the (shift, mask) of resource i's load field, or of player i - r's
+    choice field, and steps[u][c] is what placing u on strategy c adds: one
+    to each of its resources' loads and c to her choice field.  No field
+    carries into the next, so a code is a sum of steps.
+    """
+    r = game.n_resources
+    widths = [len(us).bit_length() for us in game.users]
+    widths += [(len(strats) - 1).bit_length() for strats in game.players]
+    bits = [(s, (1 << w) - 1) for s, w in zip(itertools.accumulate(widths, initial=0), widths)]
+    steps = [
+        [sum(1 << bits[e][0] for e in s) + (i << bits[r + u][0]) for i, s in enumerate(strats)]
+        for u, strats in enumerate(game.players)
+    ]
+    return bits, steps
+
+
+def _leaf_state(code: int, bits: list[tuple[int, int]], r: int) -> State:
+    """The State whose choices and loads a leaf's fields hold.
+
+    A leaf places every player, so its fields hold valid choices and their
+    loads, and the State is built directly, not checked again through
+    State.of.
+    """
+    values = [(code >> s) & m for s, m in bits]
+    return State(tuple(values[r:]), tuple(values[:r]))
 
 
 def _search_order(game: CongestionGame, priority: Optional[Sequence[int]]) -> list[int]:
@@ -243,16 +290,21 @@ def enumerate_equilibria(
     latencies bounds her cost from below and the larger bounds a deviation
     from above.  Her last test has no open resource and is exact.
 
-    The search state is one integer, the code: a bit field per resource,
-    wide enough for its user count, holds its load, then a field per player
-    holds her choice.  Placing a player adds a precomputed step to the code,
-    so nothing is undone on return.  A test reads the tested player's
-    closed resources at the other players' loads (the code less her step),
-    so her cost and her deviations to a strategy share one read list.  A
-    test keeps its verdicts keyed by the code under its mask; `_tests`
-    builds every test and states its layout, the others-load rule and what
-    the mask holds.  Leaves are decoded to choices and loads once, at the
-    end.
+    The search state is one integer, the code of `_layout`, with a load
+    field per resource and a choice field per player.  Placing a player
+    adds a precomputed step to the code, so nothing is undone.  The search
+    runs depth by depth over batches of sibling codes: a depth extends
+    every code of its batch by the player's steps, in strategy order, and
+    runs its checks over the extended batch in turn; a code's first
+    violation drops it, so each code meets exactly the checks that a
+    node-by-node search would run on it.  The survivors go one depth down
+    in slices of at most `_BATCH` codes.
+    A test reads the tested player's closed resources at the other players'
+    loads (the code less her step), so her cost and her deviations to a
+    strategy share one read list.  A test keeps its verdicts keyed by the
+    code under its mask; `_tests` builds every test and states its layout,
+    the others-load rule and what the mask holds.  Leaves are decoded to
+    choices and loads once, at the end.
     """
     _require_budget(game, budget)
     if rho is not None:
@@ -264,15 +316,7 @@ def enumerate_equilibria(
             raise ValidationError("order must be a permutation of the players")
     order = _search_order(game, order)
     position = {u: i for i, u in enumerate(order)}
-    # bits[i]: the (shift, mask) of resource i's load field in the code, or
-    # of player i - r's choice field
-    widths = [len(us).bit_length() for us in game.users]
-    widths += [(len(strats) - 1).bit_length() for strats in game.players]
-    bits = [(s, (1 << w) - 1) for s, w in zip(itertools.accumulate(widths, initial=0), widths)]
-    steps = [
-        [sum(1 << bits[e][0] for e in s) + (i << bits[r + u][0]) for i, s in enumerate(strats)]
-        for u, strats in enumerate(game.players)
-    ]
+    bits, steps = _layout(game)
     results: list[int] = []
 
     def violates(code: int, test: tuple) -> bool:
@@ -314,31 +358,27 @@ def enumerate_equilibria(
         for (t, _, _), check in tests:
             checks_at[t].append(check)
 
-    def descend(depth: int, code: int) -> None:
+    def descend(depth: int, codes: list[int]) -> None:
         if depth == n:
-            results.append(code)
+            results.extend(codes)
             return
-        checks = checks_at[depth]
-        for step in steps[order[depth]]:
-            child = code + step
-            for mask, seen, test in checks:
+        batch = [code + step for code in codes for step in steps[order[depth]]]
+        for mask, seen, test in checks_at[depth]:
+            kept = []
+            for child in batch:
                 key = child & mask
                 verdict = seen.get(key)
                 if verdict is None:
                     verdict = seen[key] = violates(child, test)
-                if verdict:
-                    break
-            else:
-                descend(depth + 1, child)
+                if not verdict:
+                    kept.append(child)
+            batch = kept
+        for i in range(0, len(batch), _BATCH):
+            descend(depth + 1, batch[i : i + _BATCH])
 
-    descend(0, 0)
+    descend(0, [0])
     del descend  # the recursive closure is a reference cycle
-    # A leaf's fields hold valid choices and their loads, so its State is
-    # built directly, not checked again through State.of.
-    states = []
-    for code in results:
-        values = [(code >> s) & m for s, m in bits]
-        states.append(State(tuple(values[r:]), tuple(values[:r])))
+    states = [_leaf_state(code, bits, r) for code in results]
     states.sort(key=lambda state: state.choices)
     return states
 
@@ -355,11 +395,9 @@ def _tests(
     """Yield (depth, open resources, check) for each test of player u.
 
     u is placed at depth `placed`, resource e closes at depth last[e],
-    bits[i] is the (shift, mask) of resource i's load field in the search
-    code, or of player i - r's choice field, steps[u][c] is what placing u
-    on strategy c adds to the code, and joined[e] is table[e][1:].  The
-    depths are those that `enumerate_equilibria` names; her resources not
-    closed there are open.
+    bits and steps are the search code's fields and steps (`_layout`), and
+    joined[e] is table[e][1:].  The depths are those that
+    `enumerate_equilibria` names; her resources not closed there are open.
 
     A check is the (mask, verdicts, test) that the search runs; test is
     (shift, mask, per_choice) of her choice field, and per_choice[c] is

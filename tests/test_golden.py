@@ -16,6 +16,9 @@ skipped and marked so), for a six-player d=2 game whose ratio is recorded but no
 asserted, and for the default corpus, whose d=1 ratios are asserted; and
 `congames verify --report` JSON for a fixed state of the d=1 game and for
 a two-player game whose report has an infinite ratio.
+The oracle digest cases keep, for seeded games of the benchmark's oracle
+shape, the sha256 of each sorted `enumerate_equilibria` choice list at
+rho = 1, (n+1)/n and None, and `brute_min_potential`'s choices and phi.
 Rewrite the fixtures with `PYTHONPATH=src python tests/test_golden.py`, and
 only for an intended change of output; every trace must pass `check_trace`.
 """
@@ -32,7 +35,16 @@ from pathlib import Path
 
 import pytest
 
-from congames import CongestionGame, SolverConfig, epsilon_br_dynamics, solve
+from congames import (
+    CongestionGame,
+    GenSpec,
+    SolverConfig,
+    brute_min_potential,
+    enumerate_equilibria,
+    epsilon_br_dynamics,
+    generate,
+    solve,
+)
 from congames.cli import main
 from congames.serialize import read_instance, write_instance, write_state
 from trace_check import check_trace
@@ -229,6 +241,49 @@ def test_verify_report_bytes_unchanged(name, tmp_path):
     assert verify_report(name, tmp_path).read_bytes() == recorded
 
 
+ORACLE_DIGESTS = FIXTURES / "oracle_digests.json"
+ORACLE_SEEDS = range(12)
+
+
+def oracle_game(seed):
+    """9-12 players, 6 resources, two strategies of two resources, d 1 or 2."""
+    n, d = 9 + seed % 4, 1 + seed // 4 % 2
+    spec = GenSpec(
+        seed=seed,
+        n_players=n,
+        n_resources=6,
+        strategies_per_player=2,
+        strategy_size=(2, 2),
+        degree=d,
+        coeff_range=(0, 6),
+    )
+    return generate(spec)
+
+
+def oracle_digests(game):
+    """Digests of the enumerations at rho = 1, (n+1)/n and None; the brute force."""
+    n = game.n_players
+    enum = {}
+    for name, rho in (("1", Fraction(1)), ("q", Fraction(n + 1, n)), ("none", None)):
+        choices = sorted(s.choices for s in enumerate_equilibria(game, rho=rho))
+        enum[name] = hashlib.sha256(json.dumps(choices).encode()).hexdigest()
+    state, phi = brute_min_potential(game)
+    return {"enum_sha256": enum, "brute": {"choices": list(state.choices), "phi": str(phi)}}
+
+
+def record_oracle_digests():
+    cases = [{"seed": seed, **oracle_digests(oracle_game(seed))} for seed in ORACLE_SEEDS]
+    lines = ",\n".join(json.dumps(case) for case in cases)
+    ORACLE_DIGESTS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_oracle_digests_unchanged(seed):
+    case = json.loads(ORACLE_DIGESTS.read_text(encoding="utf-8"))[seed]
+    assert case["seed"] == seed
+    assert oracle_digests(oracle_game(seed)) == {k: case[k] for k in ("enum_sha256", "brute")}
+
+
 if __name__ == "__main__":
     for name, (_game, trace) in [(name, run_case(name)) for name in CASES]:
         (FIXTURES / name).write_text(trace.to_json(), encoding="utf-8")
@@ -241,3 +296,4 @@ if __name__ == "__main__":
         for name in VERIFY_CASES:
             report = verify_report(name, Path(tmp)).read_bytes()
             (FIXTURES / name).write_bytes(report)
+    record_oracle_digests()

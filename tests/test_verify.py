@@ -4,9 +4,10 @@ import gc
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from congames import (
@@ -21,6 +22,7 @@ from congames import (
     enumerate_equilibria,
     generate,
 )
+from congames import verify
 from congames.hardness import enumeration_order
 from congames.verify import (
     AuditReport,
@@ -338,8 +340,13 @@ def full_field_games(draw):
     return CongestionGame(draw(latencies(kind, n_res, n)), players, mode=mode)
 
 
+# No shrink phase: a failing comparison reports its first failing example
+# at once instead of after a long shrink over these games.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
 class TestOraclesAgainstScans:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
     @given(
         st.booleans().flatmap(
             lambda crowded: sparse_games(["linear", "hardness", "quadratic"], crowded)
@@ -357,7 +364,7 @@ class TestOraclesAgainstScans:
                 fast = enumerate_equilibria(game, rho=rho, order=o)
                 assert [s.choices for s in fast] == slow
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
     @given(crowded_games(["linear", "hardness", "quadratic"]), st.data())
     def test_enumeration_matches_naive_scan(self, game, data):
         order = data.draw(st.permutations(range(game.n_players)))
@@ -367,7 +374,7 @@ class TestOraclesAgainstScans:
                 fast = enumerate_equilibria(game, rho=rho, order=o)
                 assert [s.choices for s in fast] == slow
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
     @given(full_field_games())
     def test_enumeration_matches_naive_scan_with_full_bit_fields(self, game):
         assert (len(game.users[0]), len(game.users[-1])) == (4, 8)
@@ -379,7 +386,31 @@ class TestOraclesAgainstScans:
                 fast = enumerate_equilibria(game, rho=rho, order=o)
                 assert [s.choices for s in fast] == slow
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(
+        st.one_of(
+            st.booleans().flatmap(
+                lambda crowded: sparse_games(["linear", "hardness", "quadratic"], crowded)
+            ),
+            crowded_games(["linear", "hardness", "quadratic"]),
+            full_field_games(),
+        ),
+        st.data(),
+    )
+    def test_enumeration_matches_naive_scan_across_batches(self, game, data):
+        # The search extends at most verify._BATCH sibling codes at a time;
+        # every game here fits in one batch, so a tiny one makes each depth
+        # split its survivors into several slices.
+        order = data.draw(st.permutations(range(game.n_players)))
+        for rho in (F(1), F(3, 2), F(2), None):
+            slow = [s.choices for s in naive_state_scan(game, rho)]
+            for cap in (1, 3):
+                with mock.patch.object(verify, "_BATCH", cap):
+                    for o in (None, order):
+                        fast = enumerate_equilibria(game, rho=rho, order=o)
+                        assert [s.choices for s in fast] == slow
+
+    @settings(max_examples=50, deadline=None, phases=NO_SHRINK)
     @given(st.one_of(crowded_games(["linear", "hardness", "quadratic"]), full_field_games()))
     def test_enumerated_states_equal_checked_states(self, game):
         # The enumeration decodes choices and loads from its search code
@@ -388,7 +419,7 @@ class TestOraclesAgainstScans:
             for s in enumerate_equilibria(game, rho=rho):
                 assert s == State.of(game, s.choices)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
     @given(
         crowded_games(
             ["zero", "constant", "linear", "hardness", "quadratic"],
@@ -399,6 +430,8 @@ class TestOraclesAgainstScans:
     )
     def test_brute_matches_product_scan(self, game):
         state, phi = brute_min_potential(game)
+        # the State is decoded from the best leaf's code, not built by State.of
+        assert state == State.of(game, state.choices)
         ranked = [
             (game.potential(game.state(c)), c)
             for c in itertools.product(*[range(len(p)) for p in game.players])
